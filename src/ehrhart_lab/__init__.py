@@ -22,7 +22,6 @@ from .delta import (
     validate_delta,
 )
 from .exact import (
-    BigRational,
     IntMatrix,
     RatPoly,
     SingularMatrixError,
@@ -31,6 +30,7 @@ from .exact import (
     discriminant,
     eulerian,
     hermite_normal_form,
+    integer_adjugate,
     resultant,
     routh_right_halfplane_count,
     smith_normal_form,

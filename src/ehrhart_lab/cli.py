@@ -52,9 +52,12 @@ class CliError(Exception):
 def _parse_range(text: str) -> range:
     try:
         lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        r = range(int(lo), int(hi) + 1)
     except ValueError as exc:
         raise CliError(f"range must look like 1..200, got {text!r}") from exc
+    if not r:
+        raise CliError(f"range {text!r} is empty")
+    return r
 
 
 def _emit_json(payload: dict) -> str:
@@ -75,6 +78,9 @@ def cmd_classify(args) -> int:
     dv = parse_delta(args.delta)
     if not dv.palindromic:
         raise CliError("classify requires a palindromic delta-vector")
+    if 2 <= dv.d <= 7 and min(dv.entries[1:dv.d]) < 1:
+        # the closed-form classifiers of dimensions 2..7 need these entries
+        raise CliError("classify needs delta_1..delta_{d-1} >= 1 in dimensions 2..7")
     report = hypothesis_report(dv)
     low_dim = classify(dv) if 2 <= dv.d <= 7 else None
     if low_dim is not None:
@@ -157,6 +163,8 @@ def cmd_roots(args) -> int:
 
 def cmd_series(args) -> int:
     dv = parse_delta(args.delta)
+    if args.terms < 1:
+        raise CliError("--terms must be >= 1")
     values = ehrhart_series(dv, args.terms)
     if args.format == "json":
         print(_emit_json({"command": "series", "delta": dv.to_json(),

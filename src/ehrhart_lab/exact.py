@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
-BigRational = Fraction
 RatLike = Union[int, Fraction]
 
 NEG_INF = float("-inf")
@@ -743,6 +742,48 @@ def row_hermite_basis(rows: Iterable[Iterable[int]]) -> list[list[int]]:
     return [row for row in mat[:pr]]
 
 
+def integer_adjugate(
+    rows: Sequence[Sequence[int]],
+) -> tuple[int, list[list[int]] | None]:
+    """Determinant and adjugate (det * A^-1) of a square integer matrix.
+
+    Fraction-free (Bareiss) Gauss-Jordan elimination on [A | I]: after
+    step k every entry is a (k+1)-minor, so each division is exact and no
+    rational number is ever formed.  A singular matrix gives (0, None).
+    """
+    n = len(rows)
+    mat = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    if any(len(r) != 2 * n for r in mat):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if mat[k][k] == 0:
+            piv = next((i for i in range(k + 1, n) if mat[i][k] != 0), None)
+            if piv is None:
+                return 0, None
+            mat[k], mat[piv] = mat[piv], mat[k]
+            sign = -sign
+        top = mat[k]
+        pv = top[k]
+        for i in range(n):
+            if i != k:
+                f = mat[i][k]
+                mat[i] = [(pv * a - f * b) // prev for a, b in zip(mat[i], top)]
+        prev = pv
+    # the rows now read [p*I | p*(PA)^-1 P] with p = det(PA) = sign * det(A)
+    return sign * prev, [[sign * v for v in row[n:]] for row in mat]
+
+
+def _clear_row_denominators(
+    rows: Sequence[Sequence[RatLike]],
+) -> tuple[list[list[int]], list[int]]:
+    """Each row times the lcm of its denominators, and those multipliers."""
+    fracs = [[_as_fraction(v) for v in row] for row in rows]
+    scales = [math.lcm(*(v.denominator for v in row)) for row in fracs]
+    return [[int(v * c) for v in row] for row, c in zip(fracs, scales)], scales
+
+
 def solve_linear_exact(
     A: IntMatrix | Sequence[Sequence[RatLike]], b: Sequence[RatLike]
 ) -> list[Fraction]:
@@ -753,40 +794,22 @@ def solve_linear_exact(
         raise ValueError("A must be square")
     if len(b) != n:
         raise ValueError("dimension mismatch")
-    mat = [[_as_fraction(v) for v in row] + [_as_fraction(bv)]
-           for row, bv in zip(rows, b)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular matrix")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [v / pv for v in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[col])]
-    return [mat[i][n] for i in range(n)]
+    # scaling an equation does not change the solution
+    ints, _ = _clear_row_denominators([row + [bv] for row, bv in zip(rows, b)])
+    det, adj = integer_adjugate([row[:n] for row in ints])
+    if det == 0:
+        raise SingularMatrixError("singular matrix")
+    rhs = [row[n] for row in ints]
+    return [Fraction(sum(a * r for a, r in zip(row, rhs)), det) for row in adj]
 
 
 def fraction_matrix_inverse(
     rows: Sequence[Sequence[RatLike]],
 ) -> list[list[Fraction]]:
     """Exact inverse of a square matrix over Q."""
-    n = len(rows)
-    mat = [[_as_fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    if any(len(r) != 2 * n for r in mat):
-        raise ValueError("matrix must be square")
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular matrix")
-        mat[col], mat[piv] = mat[piv], mat[col]
-        pv = mat[col][col]
-        mat[col] = [v / pv for v in mat[col]]
-        for i in range(n):
-            if i != col and mat[i][col]:
-                f = mat[i][col]
-                mat[i] = [v - f * w for v, w in zip(mat[i], mat[col])]
-    return [row[n:] for row in mat]
+    # (C A)^-1 = A^-1 C^-1 for the diagonal row scaling C, so A^-1 = (C A)^-1 C
+    ints, scales = _clear_row_denominators(rows)
+    det, adj = integer_adjugate(ints)
+    if det == 0:
+        raise SingularMatrixError("singular matrix")
+    return [[Fraction(a * c, det) for a, c in zip(row, scales)] for row in adj]

@@ -19,11 +19,9 @@ from fractions import Fraction
 from .delta import DeltaVector, ehrhart_polynomial, validate_delta
 from .exact import (
     IntMatrix,
-    SingularMatrixError,
-    fraction_matrix_inverse,
+    integer_adjugate,
     row_hermite_basis,
     smith_normal_form,
-    solve_linear_exact,
 )
 
 BRUTE_VOLUME_CAP = 10 ** 4
@@ -108,12 +106,19 @@ def normalized_volume(s: LatticeSimplex) -> int:
     return abs(_cone_matrix(s).det())
 
 
+def _cone_adjugate(s: LatticeSimplex) -> tuple[int, list[list[int]]]:
+    """det and adjugate of the cone matrix G: x in Z^{d+1} is sum t_i (v_i, 1)
+    with t = x . adj / det, so column i of adj is det times vertex i's form."""
+    det, adj = integer_adjugate(_cone_matrix(s).data)
+    if det == 0:
+        raise DegenerateSimplexError("degenerate simplex")
+    return det, adj
+
+
 def origin_barycentrics(s: LatticeSimplex) -> list[Fraction]:
     """The t_i with sum t_i = 1 and sum t_i v_i = 0."""
-    try:
-        return solve_linear_exact(_cone_matrix(s).transpose(), [0] * s.d + [1])
-    except SingularMatrixError as exc:
-        raise DegenerateSimplexError("degenerate simplex") from exc
+    det, adj = _cone_adjugate(s)
+    return [Fraction(a, det) for a in adj[s.d]]
 
 
 def origin_interior(s: LatticeSimplex) -> bool:
@@ -129,32 +134,27 @@ def _box_histogram(s: LatticeSimplex, cap: tuple[int, ...] | None) -> list[int] 
     With a cap, returns None as soon as some height count would exceed it
     (used to discard quotient candidates early).
     """
-    g = _cone_matrix(s)
-    det = g.det()
-    if det == 0:
-        raise DegenerateSimplexError("degenerate simplex")
     n = s.d + 1
-    _, snf, v = smith_normal_form(g)
+    u, snf, _ = smith_normal_form(_cone_matrix(s))
     diag = [snf.data[i][i] for i in range(n)]
-    v_inv = [[int(x) for x in row] for row in fraction_matrix_inverse(v.to_lists())]
-    # adjugate scaled to make floor(t_i) = (x . adj[:, i]) // |det| exact
-    sign = 1 if det > 0 else -1
-    inv = fraction_matrix_inverse(g.to_lists())
-    adj = [[int(inv[i][j] * det) * sign for j in range(n)] for i in range(n)]
-    dpos = det * sign
-    gen_last = [row[n - 1] for row in g.data]
+    dpos = math.prod(diag)
+    if dpos == 0:
+        raise DegenerateSimplexError("degenerate simplex")
+    # U G V = S: the coset representatives x = combo . V^-1 of Z^n modulo the
+    # generators' row lattice have t = x . G^-1 = combo . S^-1 . U, so dpos * t
+    # sums combo_i (dpos / s_i) U_i over the nontrivial Smith factors alone
+    steps = [(f, [dpos // f * a for a in row]) for f, row in zip(diag, u.data) if f > 1]
+    *outer, (order, last) = steps or [(1, [0] * n)]
+    multiples = [[k * x % dpos for x in last] for k in range(order)]
     hist = [0] * n
-    for combo in itertools.product(*(range(dd) for dd in diag)):
-        # x = combo * V^-1 runs over coset representatives of Z^n modulo
-        # the row lattice of the generators
-        x = [sum(combo[i] * v_inv[i][j] for i in range(n)) for j in range(n)]
-        height = x[n - 1]
-        for i in range(n):
-            ti_scaled = sum(x[j] * adj[j][i] for j in range(n))
-            height -= (ti_scaled // dpos) * gen_last[i]
-        hist[height] += 1
-        if cap is not None and hist[height] > cap[height]:
-            return None
+    for combo in itertools.product(*(range(f) for f, _ in outer)):
+        base = [sum(c * w[j] for c, (_, w) in zip(combo, outer)) for j in range(n)]
+        for m in multiples:
+            # the box point is sum frac(t_i) (v_i, 1), at height sum frac(t_i)
+            height = sum((b + x) % dpos for b, x in zip(base, m)) // dpos
+            hist[height] += 1
+            if cap is not None and hist[height] > cap[height]:
+                return None
     assert sum(hist) == dpos
     return hist
 
@@ -201,20 +201,10 @@ def count_points_brute(s: LatticeSimplex, m: int) -> int:
     if m == 0:
         return 1
     d = s.d
-    g = _cone_matrix(s)
-    det = g.det()
-    if det == 0:
-        raise DegenerateSimplexError("degenerate simplex")
-    inv = fraction_matrix_inverse(g.to_lists())
-    # membership: the barycentric forms t_i = (x, m) . inv[:, i] must all
-    # be >= 0; scale by det (and its sign) to work in integers
+    det, adj = _cone_adjugate(s)
+    # membership: every barycentric form t_i = (x, m) . adj[:, i] / det >= 0
     sign = 1 if det > 0 else -1
-    forms = [[0] * (d + 1) for _ in range(d + 1)]  # forms[j][i], j = coord
-    for j in range(d + 1):
-        for i in range(d + 1):
-            scaled = inv[j][i] * det * sign
-            assert scaled.denominator == 1
-            forms[j][i] = int(scaled)
+    forms = [[sign * a for a in row] for row in adj]  # forms[j][i], j = coord
     lows = [m * min(v[j] for v in s.vertices) for j in range(d)]
     highs = [m * max(v[j] for v in s.vertices) for j in range(d)]
     # suffix[k][i]: best possible contribution of coordinates k..d-1 to form i
@@ -241,21 +231,20 @@ def count_points_brute(s: LatticeSimplex, m: int) -> int:
 
 
 def dual_simplex(s: LatticeSimplex) -> DualSimplex:
-    """Polar dual: one vertex per facet, from the exact solves
-    <u, v_j> = -1 over the facet's vertices; lattice iff every entry is an
-    integer (the simplex is then reflexive).  Vertex i of the dual
-    corresponds to the facet omitting vertex i."""
+    """Polar dual: one vertex per facet, the u with <u, v_j> = -1 over the
+    facet's vertices; lattice iff every entry is an integer (the simplex
+    is then reflexive).  Vertex i of the dual corresponds to the facet
+    omitting vertex i."""
     if not origin_interior(s):
         raise ValueError("dual computation needs the origin strictly interior")
+    _, adj = _cone_adjugate(s)
     d = s.d
-    dual_rows = []
-    lattice = True
-    for skip in range(d + 1):
-        rows = [list(v) for i, v in enumerate(s.vertices) if i != skip]
-        u = solve_linear_exact(rows, [-1] * d)
-        lattice = lattice and all(x.denominator == 1 for x in u)
-        dual_rows.append(tuple(u))
-    return DualSimplex(tuple(dual_rows), lattice)
+    # column i of adj is (a, c) with <v_j, a> + c = 0 for every j != i, and
+    # c = det * t_i != 0 for the origin's barycentrics t, so u = a / c
+    cols = list(zip(*adj))
+    lattice = all(a % col[d] == 0 for col in cols for a in col[:d])
+    dual_rows = tuple(tuple(Fraction(a, col[d]) for a in col[:d]) for col in cols)
+    return DualSimplex(dual_rows, lattice)
 
 
 def is_reflexive(s: LatticeSimplex) -> bool:
@@ -346,9 +335,8 @@ def _vertex_relation(s: LatticeSimplex) -> tuple[int, ...]:
     """The linear relation sum mu_i v_i = 0, normalized primitive with
     positive sum; unique for a genuine simplex, and a lattice isomorphism
     permutes vertices only within equal-mu classes."""
-    t = origin_barycentrics(s)
-    den = math.lcm(*(x.denominator for x in t))
-    ints = [int(x * den) for x in t]
+    det, adj = _cone_adjugate(s)
+    ints = [a if det > 0 else -a for a in adj[s.d]]  # |det| * barycentrics
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
 

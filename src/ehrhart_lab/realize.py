@@ -36,7 +36,7 @@ from fractions import Fraction
 from .delta import DeltaVector, ehrhart_polynomial
 from .exact import (
     RatPoly,
-    fraction_matrix_inverse,
+    integer_adjugate,
     row_hermite_basis,
     sturm_distinct_real_roots,
 )
@@ -357,17 +357,9 @@ def build_quotient_simplex(w: WeightSystem, a: GroupAction) -> LatticeSimplex:
     gens = [[n * int(i == j) for j in range(d)] for i in range(d)]
     gens.append(alpha)
     basis_n = row_hermite_basis(gens)  # basis of n * (Z^d + g Z)
-    binv_scaled = fraction_matrix_inverse(basis_n)  # = (1/n * basis)^-1 / n
-    new_verts = []
-    for v in verts:
-        coords = []
-        for j in range(d):
-            c = sum(Fraction(v[i]) * binv_scaled[i][j] for i in range(d)) * n
-            if c.denominator != 1:
-                raise InvalidActionError("vertex not integral over the overlattice")
-            coords.append(int(c))
-        new_verts.append(coords)
-    s = LatticeSimplex.of(new_verts)
+    s = _vertices_in_overlattice(verts, basis_n, n)
+    if s is None:
+        raise InvalidActionError("vertex not integral over the overlattice")
     if multiplicity(s) != n:
         raise InvalidActionError("quotient does not have the requested index")
     return s
@@ -407,20 +399,17 @@ def _projective_points(p: int, d: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _vertices_in_overlattice(base: LatticeSimplex, scaled_basis, scale: int):
-    """Vertices of the base simplex in coordinates of the lattice with
-    basis scaled_basis / scale; None when some vertex is not integral."""
-    inv = fraction_matrix_inverse(scaled_basis)
-    d = base.d
+def _vertices_in_overlattice(vertices, basis, scale: int) -> LatticeSimplex | None:
+    """The vertices in coordinates of the lattice with basis rows basis / scale,
+    scale * v * adj(B) / det(B); None when some vertex is not integral."""
+    det, adj = integer_adjugate(basis)
+    cols = list(zip(*adj))
     out = []
-    for v in base.vertices:
-        coords = []
-        for j in range(d):
-            c = sum(Fraction(v[i]) * inv[i][j] for i in range(d)) * scale
-            if c.denominator != 1:
-                return None
-            coords.append(int(c))
-        out.append(coords)
+    for v in vertices:
+        scaled = [scale * sum(a * b for a, b in zip(v, col)) for col in cols]
+        if any(x % det for x in scaled):
+            return None
+        out.append([x // det for x in scaled])
     return LatticeSimplex.of(out)
 
 
@@ -450,7 +439,7 @@ def tower_scan(w: WeightSystem, n: int, dv: DeltaVector
                 if key in nxt:
                     continue
                 nodes += 1
-                cand = _vertices_in_overlattice(q, [list(r) for r in key], n)
+                cand = _vertices_in_overlattice(q.vertices, key, n)
                 if cand is not None and delta_dominated_by(cand, dv):
                     nxt.add(key)
                     if len(nxt) > TOWER_LEVEL_CAP:
@@ -458,7 +447,7 @@ def tower_scan(w: WeightSystem, n: int, dv: DeltaVector
         level = nxt
     found = []
     for basis in sorted(level):
-        cand = _vertices_in_overlattice(q, [list(r) for r in basis], n)
+        cand = _vertices_in_overlattice(q.vertices, basis, n)
         if cand is None or delta_of_simplex(cand) != dv:
             continue
         if is_terminal(cand) and is_reflexive(cand):

@@ -2,6 +2,8 @@ import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from ehrhart_lab.cli import main
 
 
@@ -57,6 +59,17 @@ def test_classify_usage_errors():
     assert code == 1 and "error" in err
     code, _, err = run_cli("classify", "--delta", "1,3,0")
     assert code == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--delta", "1,0,1"),
+    ("series", "--delta", "1,2", "--terms", "0"),
+    ("regions", "-d", "4", "--d1", "5..1", "--d2", "1..2"),
+])
+def test_input_errors_print_one_line(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_roots_command():

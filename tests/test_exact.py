@@ -20,6 +20,7 @@ from ehrhart_lab.exact import (
     eulerian,
     fraction_matrix_inverse,
     hermite_normal_form,
+    integer_adjugate,
     resultant,
     routh_right_halfplane_count,
     row_hermite_basis,
@@ -308,6 +309,34 @@ def test_fraction_matrix_inverse(rng):
             for j in range(n):
                 acc = sum(Fraction(rows[i][k]) * inv[k][j] for k in range(n))
                 assert acc == (1 if i == j else 0)
+
+
+def test_integer_adjugate_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    for n in range(1, 12):
+        for kind in ("random", "singular", "unimodular"):
+            if kind == "unimodular":
+                rows = random_unimodular(rng, n, steps=3 * n)
+            else:
+                rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            if kind == "singular":
+                # the last row becomes a combination of the others
+                coef = [rng.randint(-2, 2) for _ in range(n - 1)]
+                rows[-1] = [sum(c * r[j] for c, r in zip(coef, rows)) for j in range(n)]
+            det, adj = integer_adjugate(rows)
+            ref = sympy.Matrix(rows)
+            assert det == ref.det() == IntMatrix(rows).det()
+            if kind == "singular":
+                assert det == 0
+            if kind == "unimodular":
+                assert det in (1, -1)
+            if det == 0:
+                assert adj is None
+                continue
+            assert adj == ref.adjugate().tolist()
+            product = IntMatrix(rows) * IntMatrix(adj)
+            assert product.to_lists() == [[det * (i == j) for j in range(n)]
+                                          for i in range(n)]
 
 
 def test_routh_partitions_the_degree(rng):

@@ -2,6 +2,7 @@ import pytest
 from helpers import random_reflexive_simplex, random_unimodular, transform_simplex
 
 from ehrhart_lab.delta import validate_delta
+from ehrhart_lab.exact import IntMatrix, elementary_divisors
 from ehrhart_lab.lattice import (
     DegenerateSimplexError,
     LatticeSimplex,
@@ -162,6 +163,19 @@ def test_count_points_brute_agrees(rng):
         s = random_reflexive_simplex(rng, d_max=4)
         for m in (1, 2, 3):
             assert count_points_brute(s, m) == count_points_dilate(s, m)
+
+
+def test_box_points_non_cyclic_group(rng):
+    # doubling every vertex of a d-simplex makes at least two Smith factors
+    # of the cone matrix exceed 1, so the box group is not cyclic
+    for _ in range(6):
+        s = random_reflexive_simplex(rng, d_max=3)
+        doubled = LatticeSimplex.of([[2 * x for x in v] for v in s.vertices])
+        cone = IntMatrix([list(v) + [1] for v in doubled.vertices])
+        assert sum(f > 1 for f in elementary_divisors(cone)) >= 2
+        assert box_points(doubled).total == normalized_volume(doubled)
+        for m in (1, 2, 3):
+            assert count_points_brute(doubled, m) == count_points_dilate(doubled, m)
 
 
 def test_count_points_brute_bounds():
