@@ -29,7 +29,7 @@ from .exact import (
     binomial_poly,
     discriminant,
     eulerian,
-    hermite_normal_form,
+    halfplane_counts,
     integer_adjugate,
     resultant,
     routh_right_halfplane_count,

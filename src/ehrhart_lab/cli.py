@@ -6,8 +6,9 @@ v1` header line; identical flags always produce byte-identical output.
 
 Exit codes: 0 success / property holds; 1 usage or input error;
 2 certified negative (a hypothesis fails, or a realization search comes
-back empty); 3 indeterminate (boundary-indeterminate verdicts or an
-undecided search branch).
+back empty); 3 indeterminate (an undecided realization search branch, or
+a `roots` solve that did not converge).  Every `classify` verdict is
+exact, so `classify` exits 0 or 2 on valid input.
 """
 
 from __future__ import annotations
@@ -27,14 +28,8 @@ from .delta import (
     ehrhart_series,
     parse_delta,
 )
-from .realize import UnsupportedDeltaError, realize
-from .roots import (
-    BOUNDARY_INDETERMINATE,
-    HYPOTHESES,
-    find_roots,
-    hypothesis_report,
-)
-from .wps import divides_anticanonical_degree, enumerate_weights
+from .realize import UnsupportedDeltaError, realize, weight_rows
+from .roots import HYPOTHESES, NumericalFailure, find_roots, hypothesis_report
 
 CSV_HEADER = "# ehrhart-lab v1"
 SCHEMA_VERSION = 1
@@ -123,15 +118,18 @@ def cmd_classify(args) -> int:
         if low_dim is not None:
             rows.append(["case_label", low_dim.case_label, "", ""])
         print(_emit_csv(["hypothesis", "verdict", "witness_re", "witness_im"], rows))
-    verdicts = [report.verdicts[name].verdict for name in HYPOTHESES]
-    if any(v.startswith("fails") for v in verdicts):
-        return EXIT_NEGATIVE
-    if BOUNDARY_INDETERMINATE in verdicts:
-        return EXIT_INDETERMINATE
-    return EXIT_OK
+    if all(v.holds for v in report.verdicts.values()):
+        return EXIT_OK
+    return EXIT_NEGATIVE
+
+
+def _require_dimension(d: int):
+    if d < 1:
+        raise CliError("--dimension must be >= 1")
 
 
 def cmd_cube_delta(args) -> int:
+    _require_dimension(args.dimension)
     dv = cube_delta(args.dimension)
     if args.format == "json":
         print(_emit_json({"command": "cube-delta", "dimension": args.dimension,
@@ -143,7 +141,11 @@ def cmd_cube_delta(args) -> int:
 
 def cmd_roots(args) -> int:
     dv = parse_delta(args.delta)
-    rs = find_roots(ehrhart_polynomial(dv))
+    try:
+        rs = find_roots(ehrhart_polynomial(dv))
+    except NumericalFailure as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INDETERMINATE
     if args.format == "json":
         print(_emit_json({
             "command": "roots",
@@ -197,14 +199,8 @@ def cmd_regions(args) -> int:
 def cmd_scan_weights(args) -> int:
     d = args.dimension
     total = args.delta_sum
-    rows = []
-    for mult in sorted(m for m in range(1, total + 1) if total % m == 0):
-        h = total // mult
-        if h < d + 1:
-            continue
-        for w in enumerate_weights(d, h):
-            if divides_anticanonical_degree(w, mult):
-                rows.append([mult, str(w)])
+    _require_dimension(d)
+    rows = [[mult, str(w)] for mult, w in weight_rows(d, total)]
     if args.format == "json":
         print(_emit_json({
             "command": "scan-weights", "dimension": d, "delta_sum": total,

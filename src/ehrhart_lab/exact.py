@@ -319,8 +319,10 @@ def _chain_signs_at(chain: Sequence[RatPoly], x) -> list[int]:
     return [_sign(p(xf)) for p in chain if not p.is_zero]
 
 
-def _sturm_chain(p: RatPoly) -> list[RatPoly]:
-    chain = [p, p.derivative()]
+def _remainder_chain(f0: RatPoly, f1: RatPoly) -> list[RatPoly]:
+    """Negated Euclidean remainder sequence f0, f1, -rem(f0, f1), ...;
+    the last element is gcd(f0, f1) up to a scalar."""
+    chain = [f0, f1]
     while not chain[-1].is_zero and chain[-1].degree > 0:
         chain.append(-(chain[-2] % chain[-1]))
     if chain[-1].is_zero:
@@ -341,7 +343,7 @@ def sturm_distinct_real_roots(p: RatPoly, lo=NEG_INF, hi=POS_INF) -> int:
     s = p.squarefree_part()
     if s.degree <= 0:
         return 0
-    chain = _sturm_chain(s)
+    chain = _remainder_chain(s, s.derivative())
     return _sign_changes(_chain_signs_at(chain, lo)) - _sign_changes(
         _chain_signs_at(chain, hi)
     )
@@ -384,42 +386,42 @@ def all_roots_real_nonneg(p: RatPoly) -> bool:
     return ok
 
 
-def routh_right_halfplane_count(p: RatPoly) -> int | None:
-    """Number of roots of p with strictly positive real part, via an exact
-    rational Routh array.
+def halfplane_counts(p: RatPoly) -> tuple[int, int]:
+    """(roots with Re z > 0, roots with Re z = 0) of p, with multiplicity.
 
-    Returns None (degenerate) whenever a leading array entry vanishes; in
-    that case roots may lie on the imaginary axis and callers must fall
-    back to other evidence.  When an integer is returned it is exact and
-    certifies that no root lies on the imaginary axis.
+    Exact for every input.  Write p(iy) = A(y) + i B(y) with A, B real.
+    Roots on the imaginary axis are the real roots of gcd(A, B); the
+    Cauchy index of the lower-degree part over the higher-degree one,
+    read off their remainder chain, splits the rest between the two
+    half-planes (Gantmacher, Theory of Matrices II, ch. XV).
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
     n = p.degree
-    if n == 0:
-        return 0
-    a = list(reversed(p.coeffs))  # highest degree first
-    rows: list[list[Fraction]] = [a[0::2], a[1::2]]
-    if not rows[1] or rows[1][0] == 0:
-        return None
-    for k in range(2, n + 1):
-        prev, prev2 = rows[k - 1], rows[k - 2]
-        pivot = prev[0]
-        if pivot == 0:
-            return None
-        width = len(prev2) - 1
-        new = []
-        for j in range(width):
-            b = prev2[j + 1]
-            c = prev[j + 1] if j + 1 < len(prev) else Fraction(0)
-            new.append((pivot * b - prev2[0] * c) / pivot)
-        if not new:
-            return None
-        rows.append(new)
-    first_col = [row[0] for row in rows]
-    if any(v == 0 for v in first_col):
-        return None
-    return _sign_changes([_sign(v) for v in first_col])
+    a = [0] * (n + 1)
+    b = [0] * (n + 1)
+    for k, c in enumerate(p.coeffs):
+        sign = -1 if k % 4 >= 2 else 1  # i^k = sign * i^(k mod 2)
+        (b if k % 2 else a)[k] = sign * c
+    re, im = RatPoly(a), RatPoly(b)
+    s = 1 if re.degree > im.degree else -1
+    chain = _remainder_chain(re, im) if s == 1 else _remainder_chain(im, re)
+    index = _sign_changes(_chain_signs_at(chain, NEG_INF)) - _sign_changes(
+        _chain_signs_at(chain, POS_INF)
+    )
+    on_axis = sum(
+        mult * sturm_distinct_real_roots(factor)
+        for factor, mult in chain[-1].squarefree_decomposition()
+    )
+    # right + left = n - on_axis and right - left = s * index
+    return (n - on_axis + s * index) // 2, on_axis
+
+
+def routh_right_halfplane_count(p: RatPoly) -> int | None:
+    """Number of roots of p with strictly positive real part, or None when
+    a root lies on the imaginary axis (a view of `halfplane_counts`)."""
+    right, on_axis = halfplane_counts(p)
+    return None if on_axis else right
 
 
 # ----------------------------------------------------------------------
@@ -443,7 +445,8 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
         rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - n - 1 - i))
     for i in range(n):
         rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - m - 1 - i))
-    return _fraction_det(rows)
+    ints, scales = _clear_row_denominators(rows)
+    return Fraction(IntMatrix(ints).det(), math.prod(scales))
 
 
 def discriminant(p: RatPoly) -> Fraction:
@@ -453,27 +456,6 @@ def discriminant(p: RatPoly) -> Fraction:
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     return sign * resultant(p, p.derivative()) / p.leading
-
-
-def _fraction_det(rows: list[list[Fraction]]) -> Fraction:
-    n = len(rows)
-    mat = [row[:] for row in rows]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((i for i in range(col, n) if mat[i][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        pv = mat[col][col]
-        det *= pv
-        for i in range(col + 1, n):
-            f = mat[i][col] / pv
-            if f:
-                for j in range(col, n):
-                    mat[i][j] -= f * mat[col][j]
-    return det
 
 
 # ----------------------------------------------------------------------
@@ -644,61 +626,6 @@ def smith_normal_form(M: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 def elementary_divisors(M: IntMatrix) -> tuple[int, ...]:
     _, s, _ = smith_normal_form(M)
     return tuple(s.data[i][i] for i in range(min(M.rows, M.cols)))
-
-
-def hermite_normal_form(M: IntMatrix) -> IntMatrix:
-    """Column-style Hermite normal form H = M * V (V unimodular).
-
-    Convention: rows are processed bottom-up, giving an upper-triangular H
-    for square nonsingular M with positive diagonal and, within each pivot
-    row, entries to the right of the pivot reduced modulo it
-    (0 <= H[i][j] < H[i][i] for j > i).  |det| is preserved.
-    """
-    r, c = M.rows, M.cols
-    h = M.to_lists()
-
-    def col_addmul(dst, src, f):
-        for row in h:
-            row[dst] += f * row[src]
-
-    def col_neg(j):
-        for row in h:
-            row[j] = -row[j]
-
-    unpivoted = list(range(c))
-    pivots: list[tuple[int, int]] = []  # (row, col) in processing order
-    for row in range(r - 1, -1, -1):
-        while True:
-            nz = [j for j in unpivoted if h[row][j] != 0]
-            if len(nz) <= 1:
-                break
-            jmin = min(nz, key=lambda j: abs(h[row][j]))
-            for j in nz:
-                if j == jmin:
-                    continue
-                q = h[row][j] // h[row][jmin]
-                col_addmul(j, jmin, -q)
-        nz = [j for j in unpivoted if h[row][j] != 0]
-        if not nz:
-            continue
-        j = nz[0]
-        if h[row][j] < 0:
-            col_neg(j)
-        g = h[row][j]
-        for _, pj in pivots:
-            q = h[row][pj] // g
-            if q:
-                col_addmul(pj, j, -q)
-        pivots.append((row, j))
-        unpivoted.remove(j)
-    if unpivoted:
-        raise ValueError("matrix does not have full column rank")
-    # place the pivot of the i-th processed row (from the bottom) at column
-    # c-1-i so that square matrices come out upper triangular
-    perm = [0] * c
-    for k, (_, j) in enumerate(pivots):
-        perm[c - 1 - k] = j
-    return IntMatrix([[row[perm[j]] for j in range(c)] for row in h])
 
 
 def row_hermite_basis(rows: Iterable[Iterable[int]]) -> list[list[int]]:

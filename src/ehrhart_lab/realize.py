@@ -145,6 +145,22 @@ def candidate_multiplicities(dv: DeltaVector) -> list[int]:
     return sorted(m for m in range(1, total + 1) if total % m == 0)
 
 
+def weight_rows(d: int, total: int) -> list[tuple[int, WeightSystem]]:
+    """Stage 1: every (multiplicity, weight system) pair that can carry a
+    dimension-d realization with entry sum `total` -- the multiplicity
+    divides `total` and the anticanonical degree of the weights, which sum
+    to `total / multiplicity` -- ordered by multiplicity, then weights."""
+    rows = []
+    for mult in sorted(m for m in range(1, total + 1) if total % m == 0):
+        h = total // mult
+        if h < d + 1:
+            continue
+        for w in enumerate_weights(d, h):
+            if divides_anticanonical_degree(w, mult):
+                rows.append((mult, w))
+    return rows
+
+
 def _require_target(dv: DeltaVector):
     if not dv.palindromic:
         raise UnsupportedDeltaError("target delta-vector must be palindromic")
@@ -480,17 +496,10 @@ def realize(dv: DeltaVector) -> RealizationResult:
     d = dv.d
     log = SearchLog()
     log.multiplicity_candidates = tuple(candidate_multiplicities(dv))
-    tried = []
-    rows: list[tuple[int, WeightSystem]] = []
-    for mult in log.multiplicity_candidates:
-        h = dv.total // mult
-        if h < d + 1:
-            continue
-        tried.append(mult)
-        for w in enumerate_weights(d, h):
-            if divides_anticanonical_degree(w, mult):
-                rows.append((mult, w))
-    log.multiplicities_tried = tuple(tried)
+    log.multiplicities_tried = tuple(
+        m for m in log.multiplicity_candidates if dv.total // m >= d + 1
+    )
+    rows = weight_rows(d, dv.total)
     log.weight_rows = [(m, str(w)) for m, w in rows]
     log.weights_enumerated = len(rows)
 

@@ -10,9 +10,9 @@ Two layers coexist on purpose:
   into sign questions about a real polynomial in u = beta^2 (resp. alpha^2),
   which Sturm counts decide exactly in any dimension.
 
-Strip verdicts try the exact route first (a rational Routh array on a
-shifted polynomial) and fall back to numerical roots with error radii only
-when the array degenerates.
+Strip verdicts are exact too: an exact half-plane count on the
+polynomial shifted to each bound.  The numerical roots only supply the
+witnesses reported next to failing verdicts.
 """
 
 from __future__ import annotations
@@ -29,15 +29,12 @@ from .exact import (
     POS_INF,
     RatPoly,
     all_roots_real_nonneg,
-    routh_right_halfplane_count,
+    halfplane_counts,
     sturm_distinct_real_roots,
 )
 
 HOLDS_EXACT = "holds-exact"
-HOLDS_NUMERIC = "holds-numeric"
 FAILS_EXACT = "fails-exact"
-FAILS_NUMERIC = "fails-numeric"
-BOUNDARY_INDETERMINATE = "boundary-indeterminate"
 
 HYPOTHESES = ("CL", "Real", "NCS", "CS", "HS", "S")
 
@@ -74,7 +71,7 @@ class HypothesisVerdict:
 
     @property
     def holds(self) -> bool:
-        return self.verdict in (HOLDS_EXACT, HOLDS_NUMERIC)
+        return self.verdict == HOLDS_EXACT
 
     def to_json(self):
         w = None if self.witness is None else {"re": self.witness[0], "im": self.witness[1]}
@@ -321,90 +318,34 @@ def is_real_exact(dv: DeltaVector) -> bool:
 # Strip verdicts
 # ----------------------------------------------------------------------
 
-def _deflate_root_at_zero(p: RatPoly) -> tuple[RatPoly, int]:
-    k = 0
-    cs = list(p.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        k += 1
-    return RatPoly([Fraction(0)] * 0 + cs), k
-
-
-def _count_right_of(p: RatPoly, bound: Fraction) -> tuple[int | None, int]:
-    """(count of roots with Re > bound or None if degenerate,
-    number of roots exactly at z = bound)."""
-    q = p.shift(bound)
-    q, at_bound = _deflate_root_at_zero(q)
-    if q.degree < 1:
-        return 0, at_bound
-    return routh_right_halfplane_count(q), at_bound
-
-
-def _count_left_of(p: RatPoly, bound: Fraction) -> tuple[int | None, int]:
-    q = p.compose_linear(-1, bound)  # q(z) = p(bound - z)
-    q, at_bound = _deflate_root_at_zero(q)
-    if q.degree < 1:
-        return 0, at_bound
-    return routh_right_halfplane_count(q), at_bound
-
-
 def strip_verdict(
     p: RatPoly, lower, upper, strict: bool = False
 ) -> HypothesisVerdict:
     """Decide whether every root z of p satisfies lower <= Re z <= upper
     (strict inequalities when strict=True).
 
-    The exact path counts roots beyond each bound with a rational Routh
-    array after an exact Taylor shift; roots landing exactly on a bound are
-    deflated first, which settles most boundary cases without floating
-    point.  A degenerate array falls back to numerical roots with error
-    radii; a radius crossing the boundary yields boundary-indeterminate.
+    Exact for every input: one half-plane count on p(z + upper) and one on
+    p(lower - z) give the roots beyond each bound and the roots on it.  A
+    failing verdict carries the numerical root farthest outside the strip
+    as its witness, or the bound itself when a real root sits on it and
+    the strip is open.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
     lo = Fraction(lower)
     hi = Fraction(upper)
-    right, at_hi = _count_right_of(p, hi)
-    left, at_lo = _count_left_of(p, lo)
-    if strict and (at_hi or at_lo):
-        witness = (float(hi), 0.0) if at_hi else (float(lo), 0.0)
-        return HypothesisVerdict(FAILS_EXACT, witness)
-    if right is not None and left is not None:
-        if right == 0 and left == 0:
-            return HypothesisVerdict(HOLDS_EXACT)
-        witness = _numeric_witness(p, lo, hi)
-        return HypothesisVerdict(FAILS_EXACT, witness)
-    # degenerate Routh array: numerical evidence with error radii
-    rs = find_roots(p)
+    if strict:
+        for bound in (hi, lo):
+            if p(bound) == 0:
+                return HypothesisVerdict(FAILS_EXACT, (float(bound), 0.0))
+    right, on_hi = halfplane_counts(p.shift(hi))
+    left, on_lo = halfplane_counts(p.compose_linear(-1, lo))
+    if right == left == 0 and not (strict and (on_hi or on_lo)):
+        return HypothesisVerdict(HOLDS_EXACT)
     flo, fhi = float(lo), float(hi)
-    worst = None
-    touching = False
-    for r in rs.roots:
-        if r.re - r.error_radius > fhi or r.re + r.error_radius < flo:
-            excess = max(r.re - fhi, flo - r.re)
-            if worst is None or excess > worst[0]:
-                worst = (excess, (r.re, r.im))
-        elif r.re + r.error_radius >= fhi or r.re - r.error_radius <= flo:
-            touching = True
-    if worst is not None:
-        return HypothesisVerdict(FAILS_NUMERIC, worst[1])
-    if touching:
-        return HypothesisVerdict(BOUNDARY_INDETERMINATE)
-    return HypothesisVerdict(HOLDS_NUMERIC)
-
-
-def _numeric_witness(p: RatPoly, lo: Fraction, hi: Fraction) -> tuple[float, float] | None:
-    try:
-        rs = find_roots(p)
-    except NumericalFailure:
-        return None
-    flo, fhi = float(lo), float(hi)
-    best = None
-    for r in rs.roots:
-        excess = max(r.re - fhi, flo - r.re)
-        if best is None or excess > best[0]:
-            best = (excess, (r.re, r.im))
-    return best[1] if best else None
+    return HypothesisVerdict(
+        FAILS_EXACT, _witness(p, lambda r: max(r.re - fhi, flo - r.re))
+    )
 
 
 # ----------------------------------------------------------------------
@@ -425,12 +366,12 @@ def hypothesis_report(dv: DeltaVector) -> HypothesisReport:
     cl = is_cl_exact(dv)
     verdicts["CL"] = HypothesisVerdict(
         HOLDS_EXACT if cl else FAILS_EXACT,
-        None if cl else _off_line_witness(poly),
+        None if cl else _witness(poly, lambda r: abs(r.re + 0.5)),
     )
     real = is_real_exact(dv)
     verdicts["Real"] = HypothesisVerdict(
         HOLDS_EXACT if real else FAILS_EXACT,
-        None if real else _off_axis_witness(poly),
+        None if real else _witness(poly, lambda r: abs(r.im)),
     )
     verdicts["NCS"] = strip_verdict(
         poly, Fraction(-d, d + 1), Fraction(-1, d + 1), strict=False
@@ -443,22 +384,15 @@ def hypothesis_report(dv: DeltaVector) -> HypothesisReport:
     return HypothesisReport(dimension=d, verdicts=verdicts)
 
 
-def _off_line_witness(poly: RatPoly) -> tuple[float, float] | None:
+def _witness(poly: RatPoly, key) -> tuple[float, float] | None:
+    """The numerical root of poly with the largest key, as (re, im); None
+    when the root finder does not converge."""
     try:
         rs = find_roots(poly)
     except NumericalFailure:
         return None
-    worst = max(rs.roots, key=lambda r: abs(r.re + 0.5), default=None)
-    return None if worst is None else (worst.re, worst.im)
-
-
-def _off_axis_witness(poly: RatPoly) -> tuple[float, float] | None:
-    try:
-        rs = find_roots(poly)
-    except NumericalFailure:
-        return None
-    worst = max(rs.roots, key=lambda r: abs(r.im), default=None)
-    return None if worst is None else (worst.re, worst.im)
+    worst = max(rs.roots, key=key)
+    return (worst.re, worst.im)
 
 
 def braun_disc_check(p: RatPoly, d: int) -> bool:

@@ -58,17 +58,33 @@ def test_classify_usage_errors():
     code, _, err = run_cli("classify", "--delta", "1,x,1")
     assert code == 1 and "error" in err
     code, _, err = run_cli("classify", "--delta", "1,3,0")
-    assert code == 1
+    assert code == 1 and err.startswith("error: ")
 
 
 @pytest.mark.parametrize("argv", [
     ("classify", "--delta", "1,0,1"),
     ("series", "--delta", "1,2", "--terms", "0"),
     ("regions", "-d", "4", "--d1", "5..1", "--d2", "1..2"),
+    ("cube-delta", "-d", "0"),
+    ("scan-weights", "-d", "0", "--delta-sum", "6"),
 ])
 def test_input_errors_print_one_line(argv):
     code, out, err = run_cli(*argv)
     assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_classify_boundary_roots_are_decided():
+    # roots on both lines Re z = -1 and Re z = 0: the open strip CS fails
+    code, out, _ = run_cli("classify", "--delta", "1,4,22,4,1")
+    assert code == 2
+    assert json.loads(out)["hypotheses"]["CS"]["verdict"] == "fails-exact"
+
+
+def test_roots_nonconvergence_exits_three():
+    # the standard 32-simplex: roots -1, ..., -32 defeat double precision
+    code, out, err = run_cli("roots", "--delta", "1" + ",0" * 32)
+    assert code == 3 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
 
 

@@ -19,7 +19,7 @@ from ehrhart_lab.exact import (
     elementary_divisors,
     eulerian,
     fraction_matrix_inverse,
-    hermite_normal_form,
+    halfplane_counts,
     integer_adjugate,
     resultant,
     routh_right_halfplane_count,
@@ -168,7 +168,7 @@ def test_routh_examples():
     assert routh_right_halfplane_count(poly_from_roots([-1, -2])) == 0
     assert routh_right_halfplane_count(poly_from_roots([1, -2])) == 1
     assert routh_right_halfplane_count(RatPoly([1, 0, 1])) is None
-    assert routh_right_halfplane_count(RatPoly([3, 2, 2, 1, 1])) is None
+    assert routh_right_halfplane_count(RatPoly([3, 2, 2, 1, 1])) == 2
     assert routh_right_halfplane_count(RatPoly([7])) == 0
     assert routh_right_halfplane_count(RatPoly([0, 1])) is None  # root at 0
 
@@ -198,6 +198,55 @@ def test_routh_counts_random(rng):
     assert decided > 100  # degeneracy is the exception, not the rule
 
 
+def test_halfplane_counts_planted(rng):
+    # planted roots: real roots (some at 0), conjugate pairs, +-pairs and
+    # imaginary-axis pairs, each with a random multiplicity
+    for _ in range(400):
+        p = RatPoly([rng.choice([1, 2, -3])])
+        right = on_axis = 0
+        for _ in range(rng.randint(0, 5)):
+            mult = rng.choice([1, 1, 1, 2, 3])
+            kind = rng.randrange(4)
+            if kind == 0:
+                r = Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                factor = RatPoly([-r, 1])
+                right += mult * (r > 0)
+                on_axis += mult * (r == 0)
+            elif kind == 1:
+                a = Fraction(rng.randint(-4, 4), rng.randint(1, 2))
+                b = rng.randint(1, 4)
+                factor = RatPoly([a * a + b * b, -2 * a, 1])
+                right += 2 * mult * (a > 0)
+                on_axis += 2 * mult * (a == 0)
+            elif kind == 2:
+                a = rng.randint(1, 4)
+                factor = RatPoly([-a * a, 0, 1])  # +-a
+                right += mult
+            else:
+                b = rng.randint(1, 4)
+                factor = RatPoly([b * b, 0, 1])  # +-bi
+                on_axis += 2 * mult
+            p = p * factor ** mult
+        assert halfplane_counts(p) == (right, on_axis)
+        assert halfplane_counts(p.reflect()) == (p.degree - right - on_axis, on_axis)
+
+
+def test_halfplane_counts_against_mpmath(rng):
+    mpmath = pytest.importorskip("mpmath")
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        coeffs = [rng.randint(-9, 9) for _ in range(n)] + [rng.randint(1, 9)]
+        if rng.random() < 0.3:
+            coeffs[rng.randrange(n)] = 0
+        with mpmath.workdps(60):
+            roots = mpmath.polyroots(coeffs[::-1], maxsteps=300, extraprec=200)
+        # at 60 digits a root on the axis shows |Re z| far below 1e-30, and
+        # no root of these small integer polynomials lies that close to it
+        right = sum(1 for z in roots if mpmath.re(z) > 1e-30)
+        on_axis = sum(1 for z in roots if abs(mpmath.re(z)) <= 1e-30)
+        assert halfplane_counts(RatPoly(coeffs)) == (right, on_axis)
+
+
 def test_discriminant_examples():
     assert discriminant(RatPoly([1, 0, 1])) == -4
     # symbolic check on sampled rational quadratics: disc = b^2 - 4ac
@@ -213,6 +262,25 @@ def test_discriminant_examples():
     assert discriminant(RatPoly([1, 1])) == 1
     with pytest.raises(ValueError):
         discriminant(RatPoly([3]))
+
+
+def test_resultant_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for _ in range(80):
+        p, q = (
+            RatPoly([Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+                     for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)])
+            for _ in range(2)
+        )
+        if p.degree < q.degree:
+            # sympy 1.14 drops the sign (-1)^(deg p * deg q) in this order
+            p, q = q, p
+        ref = sympy.resultant(
+            *(sympy.Poly(list(reversed(f.coeffs)), x, domain="QQ") for f in (p, q))
+        )
+        assert resultant(p, q) == Fraction(int(ref.p), int(ref.q))
+        assert resultant(q, p) == (-1) ** (p.degree * q.degree) * resultant(p, q)
 
 
 def test_resultant_vanishes_iff_common_root():
@@ -250,30 +318,6 @@ def test_smith_normal_form_random(rng):
                     assert s.data[i][j] == 0
         if r == c:
             assert math.prod(diag) == abs(m.det())
-
-
-def test_hermite_normal_form_properties(rng):
-    assert hermite_normal_form(IntMatrix.identity(4)) == IntMatrix.identity(4)
-    h = hermite_normal_form(IntMatrix([[2, 0], [1, 1]]))
-    assert abs(h.det()) == 2
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
-            continue
-        h = hermite_normal_form(m)
-        assert abs(h.det()) == abs(m.det())
-        for i in range(n):
-            assert h.data[i][i] > 0
-            for j in range(n):
-                if j < i:
-                    assert h.data[i][j] == 0
-                elif j > i:
-                    assert 0 <= h.data[i][j] < h.data[i][i]
-        # unimodular matrices normalize to the identity
-        assert hermite_normal_form(IntMatrix(random_unimodular(rng, n))) == (
-            IntMatrix.identity(n)
-        )
 
 
 def test_row_hermite_basis():
@@ -354,15 +398,3 @@ def test_routh_partitions_the_degree(rng):
         decided += 1
         assert right + left == p.degree
     assert decided > 100
-
-
-def test_hermite_normal_form_is_column_canonical(rng):
-    # right multiplication by any unimodular matrix preserves the column
-    # lattice, so it must not change the normal form
-    for _ in range(40):
-        n = rng.randint(2, 4)
-        m = IntMatrix([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
-        if m.det() == 0:
-            continue
-        v = IntMatrix(random_unimodular(rng, n))
-        assert hermite_normal_form(m * v) == hermite_normal_form(m)

@@ -7,7 +7,6 @@ from helpers import random_palindromic
 from ehrhart_lab.delta import cube_delta, ehrhart_polynomial, validate_delta
 from ehrhart_lab.exact import RatPoly
 from ehrhart_lab.roots import (
-    BOUNDARY_INDETERMINATE,
     FAILS_EXACT,
     HOLDS_EXACT,
     HYPOTHESES,
@@ -238,11 +237,7 @@ def test_hypothesis_report_real_example():
 def test_hypothesis_report_json_spellings():
     rep = hypothesis_report(cube_delta(4)).to_json()
     assert set(rep) == set(HYPOTHESES)
-    allowed = {
-        "holds-exact", "holds-numeric", "fails-exact", "fails-numeric",
-        "boundary-indeterminate",
-    }
-    assert all(v["verdict"] in allowed for v in rep.values())
+    assert all(v["verdict"] in {"holds-exact", "fails-exact"} for v in rep.values())
 
 
 RANK = {"CL": 0, "NCS": 1, "CS": 2, "HS": 3, "S": 4}
@@ -337,13 +332,50 @@ def test_all_roots_real_nonneg_vs_numeric(rng):
 
 
 def test_strip_verdict_degenerate_falls_back_to_numerics():
-    # an imaginary-axis pair sits exactly on the closed upper bound: the
-    # exact array degenerates and the radii cannot decide the boundary
+    # an imaginary-axis pair sits exactly on the upper bound, which the
+    # closed strip admits and the open strip does not
     p = RatPoly([1, 0, 1]) * RatPoly([2, 1]) * RatPoly([3, 1])
-    v = strip_verdict(p, -5, 0, strict=False)
-    assert v.verdict == BOUNDARY_INDETERMINATE
-    # widening the strip so nothing touches the boundary resolves it
+    assert strip_verdict(p, -5, 0, strict=False).verdict == HOLDS_EXACT
+    v = strip_verdict(p, -5, 0, strict=True)
+    assert v.verdict == FAILS_EXACT
+    assert v.witness is not None and abs(v.witness[0]) < 1e-12
     assert strip_verdict(p, -5, 1, strict=False).holds
+
+
+# Palindromic vectors on which a Routh array meets a zero pivot, with or
+# without roots on the strip bound, found by scanning small entries in
+# dimensions 4..9; mpmath at 60 digits confirms every verdict.
+ROUTH_DEGENERATE = {
+    "1,2,39,2,1": ("NCS", FAILS_EXACT),
+    "1,4,22,4,1": ("CS", FAILS_EXACT),
+    "1,4,50,4,1": ("NCS", FAILS_EXACT),
+    "1,6,61,6,1": ("NCS", FAILS_EXACT),
+    "1,8,36,8,1": ("CS", FAILS_EXACT),
+    "1,8,72,8,1": ("NCS", FAILS_EXACT),
+    "1,16,66,16,1": ("CS", FAILS_EXACT),
+    "1,1,7,7,1,1": ("NCS", HOLDS_EXACT),
+    "1,1,8,8,1,1": ("CS", FAILS_EXACT),
+    "1,3,16,16,3,1": ("CS", FAILS_EXACT),
+    "1,5,26,26,5,1": ("CS", FAILS_EXACT),
+    "1,8,36,36,8,1": ("NCS", HOLDS_EXACT),
+    "1,9,50,50,9,1": ("CS", FAILS_EXACT),
+    "1,1,5,13,5,1,1": ("CS", FAILS_EXACT),
+    "1,1,8,15,8,1,1": ("CS", FAILS_EXACT),
+    "1,1,15,15,15,1,1": ("CS", FAILS_EXACT),
+    "1,1,15,22,15,1,1": ("CS", FAILS_EXACT),
+    "1,1,17,16,17,1,1": ("CS", FAILS_EXACT),
+    "1,2,7,20,7,2,1": ("CS", FAILS_EXACT),
+    "1,3,6,25,6,3,1": ("CS", FAILS_EXACT),
+    "1,1,1,7,8,7,1,1,1": ("CS", FAILS_EXACT),
+}
+
+
+def test_strip_verdicts_where_routh_degenerates():
+    for entries, (name, verdict) in ROUTH_DEGENERATE.items():
+        rep = hypothesis_report(validate_delta([int(x) for x in entries.split(",")]))
+        assert rep.verdicts[name].verdict == verdict, entries
+        assert all(v.verdict in (HOLDS_EXACT, FAILS_EXACT)
+                   for v in rep.verdicts.values())
 
 
 def test_find_roots_up_to_dimension_cap(rng):
