@@ -202,15 +202,8 @@ def halve_dilation_delta(dvq: DeltaVector) -> DeltaVector:
 def product_delta(a: DeltaVector, b: DeltaVector) -> DeltaVector:
     """Delta-vector of a direct product, from L(m) = L_a(m) * L_b(m)."""
     d = a.d + b.d
-    la = ehrhart_polynomial(a)
-    lb = ehrhart_polynomial(b)
-    values = []
-    for m in range(d + 1):
-        v = la(Fraction(m)) * lb(Fraction(m))
-        if v.denominator != 1:
-            raise NotADeltaVectorError("product values are not integers")
-        values.append(int(v))
-    return delta_from_values(values, d)
+    values = zip(ehrhart_series(a, d + 1), ehrhart_series(b, d + 1))
+    return delta_from_values([x * y for x, y in values], d)
 
 
 def ehrhart_series(dv: DeltaVector, terms: int) -> list[int]:

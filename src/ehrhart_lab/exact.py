@@ -508,9 +508,6 @@ class IntMatrix:
             [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self.data]
         )
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(list(zip(*self.data)))
-
     def det(self) -> int:
         """Fraction-free Bareiss determinant (square matrices)."""
         if self.rows != self.cols:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .delta import DeltaVector, ehrhart_polynomial, validate_delta
+from .delta import DeltaVector, ehrhart_series, validate_delta
 from .exact import (
     IntMatrix,
     integer_adjugate,
@@ -179,12 +179,11 @@ def delta_of_simplex(s: LatticeSimplex) -> DeltaVector:
 
 
 def count_points_dilate(s: LatticeSimplex, m: int) -> int:
-    """|mS intersect Z^d|, from the counting polynomial."""
+    """|mS intersect Z^d|, the m-th integer coefficient of the Ehrhart
+    series of the box-point delta-vector."""
     if m < 0:
         raise ValueError("dilation factor must be >= 0")
-    value = ehrhart_polynomial(delta_of_simplex(s))(Fraction(m))
-    assert value.denominator == 1
-    return int(value)
+    return ehrhart_series(delta_of_simplex(s), m + 1)[m]
 
 
 def count_points_brute(s: LatticeSimplex, m: int) -> int:

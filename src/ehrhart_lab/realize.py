@@ -9,13 +9,14 @@ pipeline:
      weight sum h = sum(delta) / mult of Q;
   2. enumerate well-formed Gorenstein terminal weight systems with that h
      whose anticanonical degree is divisible by mult;
-  3. discard systems whose counting polynomial ever exceeds the target's
-     (exact dominance check);
+  3. discard systems whose point count L(m) exceeds the target's for
+     some m >= 0 (an exact walk over the integer forward differences of
+     the two series; no counting polynomial is built);
   4. multiplicity 1: accept iff the weight delta equals the target;
      multiplicity n > 1 with a unit weight: enumerate cyclic actions of
      order n pinned on a smooth chart, filter by the chart Gorenstein
      divisibility, the age bound derived from the initial agreement of the
-     two counting polynomials, and closure across all smooth charts;
+     two delta-vectors, and closure across all smooth charts;
   5. build each surviving quotient explicitly and verify it
      unconditionally (delta match, terminality, reflexivity).
 
@@ -31,15 +32,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
-from .delta import DeltaVector, ehrhart_polynomial
-from .exact import (
-    RatPoly,
-    integer_adjugate,
-    row_hermite_basis,
-    sturm_distinct_real_roots,
-)
+from .delta import DeltaVector, ehrhart_series
+from .exact import integer_adjugate, row_hermite_basis
 from .lattice import (
     LatticeSimplex,
     canonical_form,
@@ -171,40 +166,29 @@ def _require_target(dv: DeltaVector):
 def ehrhart_dominates(dv_p: DeltaVector, dv_q: DeltaVector) -> bool:
     """Exact check that L_Q(m) <= L_P(m) for every integer m >= 0.
 
-    Beyond the largest real root of the difference the sign is constant
-    and fixed by the leading coefficients, so only finitely many values
-    need checking; the root bound is located by Sturm bisection inside the
-    Cauchy bound.
+    The difference D = L_P - L_Q has degree at most d, so its integer
+    values D(0..d) (from the series) fix its forward differences
+    Delta^0..Delta^d at m = 0, and stepping m adds each difference into
+    the one below it.  Once every Delta^k(m) >= 0, Newton's forward
+    formula D(m + t) = sum_k binom(t, k) Delta^k(m) keeps D >= 0 for every
+    larger m.  The walk always ends: each Delta^k is identically zero or
+    eventually takes the sign of D's leading coefficient, so either all
+    of them turn nonnegative or Delta^0 = D turns negative.
     """
     if dv_p.d != dv_q.d:
         raise ValueError("dimension mismatch")
-    diff = ehrhart_polynomial(dv_p) - ehrhart_polynomial(dv_q)
-    if diff.is_zero:
-        return True
-    if diff.leading < 0:
-        return False
-    bound = _integer_root_bound(diff)
-    return all(diff(Fraction(m)) >= 0 for m in range(0, bound + 1))
-
-
-def _integer_root_bound(p: RatPoly) -> int:
-    """Smallest power-of-two-ish integer B >= 1 with no real roots of p in
-    (B, oo), found by bisecting the Cauchy bound with Sturm counts."""
-    lead = abs(p.leading)
-    cauchy = 1 + max(abs(c) / lead for c in p.coeffs)
-    hi = 1
-    while hi < cauchy:
-        hi *= 2
-    if sturm_distinct_real_roots(p, 0, hi) == 0 and p(Fraction(0)) != 0:
-        return 1
-    lo = 0
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sturm_distinct_real_roots(p, mid, hi) == 0:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    terms = dv_p.d + 1
+    diffs = [a - b for a, b in zip(ehrhart_series(dv_p, terms),
+                                   ehrhart_series(dv_q, terms))]
+    for k in range(1, terms):  # forward differences at m = 0
+        for i in range(terms - 1, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    while diffs[0] >= 0:
+        if min(diffs) >= 0:
+            return True
+        for k in range(terms - 1):
+            diffs[k] += diffs[k + 1]
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -222,15 +206,14 @@ def _weight_blocks(w: WeightSystem) -> list[tuple[int, int]]:
     return blocks
 
 
-def _block_sort(exponents: tuple[int, ...], blocks) -> tuple[int, ...]:
-    out = []
-    for start, stop in blocks:
-        out.extend(sorted(exponents[start:stop]))
-    return tuple(out)
-
-
-def _units(n: int) -> list[int]:
-    return [k for k in range(1, n) if math.gcd(k, n) == 1]
+def _canonical_exponents(exps: tuple[int, ...], n: int, blocks) -> tuple[int, ...]:
+    """Lexicographic minimum, over the generator choices k coprime to n,
+    of the exponents k * exps mod n sorted inside equal-weight blocks."""
+    return min(
+        tuple(x for start, stop in blocks
+              for x in sorted(k * v % n for v in exps[start:stop]))
+        for k in range(1, n) if math.gcd(k, n) == 1
+    )
 
 
 def normalize_action(a: GroupAction, w: WeightSystem) -> GroupAction:
@@ -245,13 +228,9 @@ def normalize_action(a: GroupAction, w: WeightSystem) -> GroupAction:
         raise InvalidActionError("exponent count does not match weights")
     if w.weights[0] != 1:
         raise InvalidActionError("normalization needs a unit weight")
-    blocks = _weight_blocks(w)
     shift = exps[0]
     pinned = tuple((v - shift * lam) % n for v, lam in zip(exps, w.weights))
-    best = min(
-        _block_sort(tuple(k * v % n for v in pinned), blocks) for k in _units(n)
-    )
-    return GroupAction(n, best)
+    return GroupAction(n, _canonical_exponents(pinned, n, _weight_blocks(w)))
 
 
 def enumerate_actions(w: WeightSystem, n: int) -> list[GroupAction]:
@@ -282,28 +261,26 @@ def enumerate_actions(w: WeightSystem, n: int) -> list[GroupAction]:
             continue  # chart cone no longer Gorenstein
         if math.gcd(n, *exps) != 1:
             continue  # order strictly less than n
-        canon = min(
-            _block_sort(tuple(k * v % n for v in exps), blocks) for k in _units(n)
-        )
-        if exps == canon:
+        if exps == _canonical_exponents(exps, n, blocks):
             out.append(GroupAction(n, exps))
     out.sort(key=lambda a: a.exponents)
     return out
 
 
 def agreement_length(dv_p: DeltaVector, dv_q: DeltaVector) -> int:
-    """Largest T with L_P(m) = L_Q(m) for all 0 <= m <= T (T <= d for
-    distinct polynomials; raises if they coincide)."""
-    lp = ehrhart_polynomial(dv_p)
-    lq = ehrhart_polynomial(dv_q)
-    if lp == lq:
+    """Largest T with L_P(m) = L_Q(m) for all 0 <= m <= T (T < d for
+    distinct polynomials; raises if they coincide).
+
+    L(m) = sum_{j <= m} delta_j binom(m + d - j, d) for m <= d is
+    unitriangular in delta, so T is the first index where the vectors
+    differ, minus one.
+    """
+    if dv_p.d != dv_q.d:
+        raise ValueError("dimension mismatch")
+    if dv_p == dv_q:
         raise ValueError("counting polynomials coincide; no finite agreement bound")
-    t = -1
-    for m in range(dv_p.d + 1):
-        if lp(Fraction(m)) != lq(Fraction(m)):
-            break
-        t = m
-    return t
+    pairs = zip(dv_p.entries, dv_q.entries)
+    return next(j for j, (a, b) in enumerate(pairs) if a != b) - 1
 
 
 def filter_actions(
@@ -345,11 +322,7 @@ def filter_actions(
             if sum(rebased) % n or math.gcd(n, *rebased) != 1:
                 ok = False
                 break
-            canon = min(
-                _block_sort(tuple(k * v % n for v in rebased), blocks)
-                for k in _units(n)
-            )
-            if canon not in survivors_set:
+            if _canonical_exponents(rebased, n, blocks) not in survivors_set:
                 ok = False
                 break
         if ok:

@@ -143,21 +143,13 @@ def simplex_from_weights(w: WeightSystem) -> LatticeSimplex:
     return s
 
 
-def enumerate_weights(
-    d: int,
-    h: int,
-    *,
-    well_formed: bool = True,
-    gorenstein: bool = True,
-    terminal_inequalities: bool = True,
-    terminal: bool = True,
-) -> list[WeightSystem]:
-    """All sorted weight tuples of length d+1 summing to h that pass the
-    requested filters, in lexicographic order.
+def enumerate_weights(d: int, h: int) -> list[WeightSystem]:
+    """All well-formed Gorenstein terminal weight systems of length d+1
+    summing to h, in lexicographic order.
 
-    The recursion prunes with the divisor-of-h constraint and the
-    terminal inequalities while the tuple is being built, so the search is
-    fast even for the dimension-10 sweeps.
+    The recursion draws weights from the divisors of h (Gorenstein) and
+    prunes with the terminal inequalities while the tuple is being built,
+    so the search is fast even for the dimension-10 sweeps.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
@@ -166,32 +158,21 @@ def enumerate_weights(
     divisors = sorted(x for x in range(1, h + 1) if h % x == 0)
     out: list[WeightSystem] = []
 
-    def accept(prefix: list[int]) -> bool:
-        w = WeightSystem(tuple(prefix))
-        if well_formed and not is_well_formed(w):
-            return False
-        if gorenstein and any(h % v for v in prefix):
-            return False
-        if terminal and not all(
-            2 <= _height(w.weights, h, k) <= d - 1 for k in range(2, h - 1)
-        ):
-            return False
-        return True
-
     def recurse(prefix: list[int], remaining: int, position: int):
         slots = d + 1 - position
         if slots == 0:
-            if remaining == 0 and accept(prefix):
-                out.append(WeightSystem(tuple(prefix)))
+            if remaining == 0:
+                w = WeightSystem(tuple(prefix))
+                if is_well_formed(w) and is_terminal(w):
+                    out.append(w)
             return
         lo = prefix[-1] if prefix else 1
-        candidates = divisors if gorenstein else range(lo, remaining + 1)
-        for value in candidates:
+        for value in divisors:
             if value < lo:
                 continue
             if value * slots > remaining:
                 break
-            if terminal_inequalities and position >= 2 and value * (d - position + 2) >= h:
+            if position >= 2 and value * (d - position + 2) >= h:
                 break
             recurse(prefix + [value], remaining - value, position + 1)
 

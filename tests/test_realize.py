@@ -1,6 +1,9 @@
+import functools
+import math
+
 import pytest
 
-from ehrhart_lab.delta import ehrhart_polynomial, validate_delta
+from ehrhart_lab.delta import ehrhart_polynomial, ehrhart_series, validate_delta
 from ehrhart_lab.lattice import (
     LatticeSimplex,
     canonical_form,
@@ -61,6 +64,101 @@ def test_ehrhart_dominates():
     assert all(lp(Fraction(m)) == lq(Fraction(m)) for m in range(4))
     assert lp(Fraction(4)) > lq(Fraction(4))
     assert agreement_length(DIM10, dq) == 3
+
+
+def _pair_with_difference(diff, base):
+    """(P, Q) with Q = base and L_P - L_Q the degree <= d polynomial taking
+    the values diff[0..d] at m = 0..d (diff[0] = 0 keeps delta_0 = 1)."""
+    d = len(diff) - 1
+    gap = [
+        sum((-1) ** (i - j) * math.comb(d + 1, i - j) * diff[j] for j in range(i + 1))
+        for i in range(d + 1)
+    ]
+    return validate_delta([b + g for b, g in zip(base, gap)]), validate_delta(base)
+
+
+@pytest.mark.parametrize("name, poly, expected", [
+    # zero at m = 2, 3 and negative on (2, 3): nonnegative on the integers
+    ("touches", lambda m: m * (m - 2) * (m - 3), True),
+    ("zero", lambda m: 0, True),
+    # positive leading coefficient, negative at m = 7 and nowhere else
+    ("one-dip", lambda m: m * (2 * (m - 7) ** 2 - 1), False),
+    # nonnegative on 0..d, negative leading coefficient
+    ("falls", lambda m: m * (28 + 3 * m - m * m), False),
+])
+def test_ehrhart_dominates_planted(name, poly, expected):
+    d = 3
+    p, q = _pair_with_difference([poly(m) for m in range(d + 1)], [1, 400, 400, 400])
+    diff = [a - b for a, b in zip(ehrhart_series(p, 40), ehrhart_series(q, 40))]
+    assert diff == [poly(m) for m in range(40)], name
+    assert ehrhart_dominates(p, q) is expected, name
+
+
+@functools.lru_cache(maxsize=None)
+def _sympy_binomials(d):
+    """binom(m + d - j, d) for j = 0..d as sympy Polys in m over QQ."""
+    import sympy
+
+    m = sympy.Symbol("m")
+    return [
+        sympy.Poly(sympy.Mul(*[m + d - j - i for i in range(d)]), m, domain="QQ")
+        * sympy.Rational(1, math.factorial(d))
+        for j in range(d + 1)
+    ]
+
+
+def _sympy_counting(dv):
+    basis = _sympy_binomials(dv.d)  # delta_0 = 1 starts the sum
+    return sum((b * x for b, x in zip(basis[1:], dv.entries[1:])), basis[0])
+
+
+def _random_close_pairs(rng, count, d_max):
+    """Pairs of the same dimension: independent draws, and pairs that share
+    a prefix and differ by small steps after it (near-ties, late sign
+    changes), over entry scales 3, 30 and 3000."""
+    pairs = []
+    for _ in range(count):
+        d = rng.randint(1, d_max)
+        scale = rng.choice([3, 30, 3000])
+        a = [1] + [rng.randint(0, scale) for _ in range(d)]
+        if rng.random() < 0.3:
+            b = [1] + [rng.randint(0, scale) for _ in range(d)]
+        else:
+            k = rng.randint(1, d)
+            b = a[:k] + [max(0, x + rng.randint(-3, 3)) for x in a[k:]]
+        pairs.append((validate_delta(a), validate_delta(b)))
+    return pairs
+
+
+def test_ehrhart_dominates_against_sympy(rng):
+    pytest.importorskip("sympy")
+    outcomes = set()
+    for dv_p, dv_q in _random_close_pairs(rng, 150, 10):
+        diff = _sympy_counting(dv_p) - _sympy_counting(dv_q)
+        if diff.is_zero:
+            expected = True
+        else:
+            # past its largest real root the sign is the leading one's
+            roots = diff.intervals()
+            bound = math.ceil(max((hi for (_, hi), _ in roots), default=0))
+            expected = bool(diff.LC() > 0) and all(
+                diff.eval(k) >= 0 for k in range(max(bound, 0) + 1)
+            )
+        assert ehrhart_dominates(dv_p, dv_q) is expected, (dv_p, dv_q)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+
+
+def test_agreement_length_against_sympy(rng):
+    pytest.importorskip("sympy")
+    for dv_p, dv_q in _random_close_pairs(rng, 150, 10):
+        if dv_p == dv_q:
+            with pytest.raises(ValueError):
+                agreement_length(dv_p, dv_q)
+            continue
+        lp, lq = _sympy_counting(dv_p), _sympy_counting(dv_q)
+        first = next(k for k in range(dv_p.d + 1) if lp.eval(k) != lq.eval(k))
+        assert agreement_length(dv_p, dv_q) == first - 1, (dv_p, dv_q)
 
 
 def test_dominance_excludes_other_rows():

@@ -183,8 +183,25 @@ def test_enumerate_weights_deterministic():
     assert a == b == sorted(a)
 
 
-def test_enumerate_weights_filters_are_filters():
-    loose = enumerate_weights(3, 12, terminal=False)
-    tight = enumerate_weights(3, 12)
-    assert set(str(w) for w in tight) <= set(str(w) for w in loose)
-    assert all(is_gorenstein(w) and is_well_formed(w) for w in loose)
+def _sorted_partitions(total: int, parts: int, lo: int = 1):
+    """Every nondecreasing tuple of `parts` integers >= lo summing to total,
+    in lexicographic order."""
+    if parts == 1:
+        if total >= lo:
+            yield (total,)
+        return
+    for first in range(lo, total // parts + 1):
+        for rest in _sorted_partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def test_enumerate_weights_against_brute_force():
+    # the pruned recursion must lose nothing: compare with every partition
+    # of h into d+1 parts that passes the three predicates
+    for d in range(1, 7):
+        for h in range(d + 1, (36 if d <= 4 else 24) + 1):
+            brute = [
+                w for w in map(WeightSystem, _sorted_partitions(h, d + 1))
+                if is_well_formed(w) and is_gorenstein(w) and is_terminal(w)
+            ]
+            assert enumerate_weights(d, h) == brute, (d, h)
