@@ -15,8 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exact import RatPoly, binomial_poly, eulerian
+from .exact import RatPoly, eulerian
 
 MAX_DIMENSION = 64
 
@@ -109,14 +110,32 @@ class EhrhartData:
     interior_count: int      # delta_d
 
 
+@lru_cache(maxsize=None)
+def _binomial_basis(d: int) -> tuple[tuple[int, ...], ...]:
+    """Row j (0 <= j <= d): the integer coefficients of
+    d! * binom(z + d - j, d) = (z + d - j)(z + d - j - 1)...(z + 1 - j)."""
+    rows = []
+    for j in range(d + 1):
+        row = [1]
+        for c in range(1 - j, d + 1 - j):
+            # row <- row * (z + c)
+            row = [c * x + y for x, y in zip(row + [0], [0] + row)]
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
 def ehrhart_from_delta(dv: DeltaVector) -> EhrhartData:
+    """L(z) = sum_j delta_j * binom(z + d - j, d), accumulated in integers
+    over the cached rows of d! * binom(z + d - j, d) and divided by d! once."""
     d = dv.d
-    poly = RatPoly()
-    for j, delta_j in enumerate(dv.entries):
+    acc = [0] * (d + 1)
+    for delta_j, row in zip(dv.entries, _binomial_basis(d)):
         if delta_j:
-            poly = poly + binomial_poly(d - j, d) * delta_j
+            for k, c in enumerate(row):
+                acc[k] += delta_j * c
+    fact = math.factorial(d)
     return EhrhartData(
-        polynomial=poly,
+        polynomial=RatPoly([Fraction(c, fact) for c in acc]),
         normalized_volume=dv.total,
         point_count=dv.entries[1] + d + 1,
         interior_count=dv.entries[-1],

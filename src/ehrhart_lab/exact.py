@@ -181,12 +181,30 @@ class RatPoly:
         return acc
 
     def compose_linear(self, a: RatLike, b: RatLike) -> "RatPoly":
-        """Return p(a*z + b), computed by Horner over RatPoly."""
-        lin = RatPoly([_as_fraction(b), _as_fraction(a)])
-        acc = RatPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * lin + RatPoly([c])
-        return acc
+        """Return p(a*z + b) by an integer Taylor shift.
+
+        With P = den*p integral, a = s/t and b = u/v, w = t*v:
+        p(a*z + b) = sum_k P_k (s*v*z + u*t)^k w^(n-k) / (den * w^n).
+        The sum is an O(n^2) Horner scheme on Python integers (as in von
+        zur Gathen and Gerhard, ISSAC 1997); the one division by
+        den * w^n happens at the end.
+        """
+        if self.is_zero:
+            return self
+        a, b = _as_fraction(a), _as_fraction(b)
+        den, ints = self.integer_form()
+        w = a.denominator * b.denominator
+        c0 = b.numerator * a.denominator
+        c1 = a.numerator * b.denominator
+        acc = [ints[-1]]
+        wk = 1
+        for c in reversed(ints[:-1]):
+            wk *= w
+            # acc <- acc * (c1*z + c0) + c * w^(n-k)
+            acc = [c0 * x + c1 * y for x, y in zip(acc + [0], [0] + acc)]
+            acc[0] += c * wk
+        scale = den * wk
+        return RatPoly([Fraction(x, scale) for x in acc])
 
     def shift(self, c: RatLike) -> "RatPoly":
         """Taylor shift: return p(z + c)."""
@@ -241,13 +259,18 @@ class RatPoly:
             i += 1
         return out
 
+    def integer_form(self) -> tuple[int, list[int]]:
+        """(den, P): den the lcm of the coefficient denominators and P the
+        integer coefficients of den * p."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        return den, [c.numerator * (den // c.denominator) for c in self.coeffs]
+
     def content_and_primitive(self) -> tuple[Fraction, "RatPoly"]:
         """Write p = content * primitive with primitive having coprime
         integer coefficients and positive leading coefficient."""
         if self.is_zero:
             return Fraction(0), self
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [int(c * den) for c in self.coeffs]
+        den, ints = self.integer_form()
         g = math.gcd(*ints)
         if ints[-1] < 0:
             g = -g

@@ -3,8 +3,10 @@
 Two layers coexist on purpose:
 
 * a numerical layer (`find_roots`) — simultaneous Aberth iteration at
-  double precision, polished by Newton steps in capped-denominator
-  rational arithmetic, with residual-based error radii; and
+  double precision, polished by exact rational Newton steps whose
+  iterates are capped at denominator 10^50; each step evaluates the
+  polynomial and its derivative by integer Horner on the homogenized
+  integer polynomial, and the radii are residual-based; and
 * an exact layer — the substitutions z = -1/2 + beta*i and z = -1/2 + alpha
   turn the critical-line and real-root questions for a palindromic vector
   into sign questions about a real polynomial in u = beta^2 (resp. alpha^2),
@@ -135,7 +137,7 @@ def _aberth_roots(p: RatPoly) -> list[complex]:
     radius = _initial_radius(cs)
     # the attainable step size floors out somewhere between machine epsilon
     # and ~1e-6 depending on conditioning; anything at that level is ample
-    # input for the rational Newton polish, whose error radii are computed
+    # input for the integer Newton polish, whose error radii are computed
     # exactly afterwards in any case
     tol = 2e-14 * n
     for offset in _ABERTH_OFFSETS:
@@ -179,32 +181,53 @@ def _aberth_roots(p: RatPoly) -> list[complex]:
     raise NumericalFailure(f"Aberth iteration did not converge at degree {n}")
 
 
-def _cx_eval(coeffs: tuple[Fraction, ...], re: Fraction, im: Fraction):
-    ar, ai = Fraction(0), Fraction(0)
-    for c in reversed(coeffs):
-        ar, ai = ar * re - ai * im + c, ar * im + ai * re
+def _homogeneous_eval(cs: list[int], a: int, b: int, q: int) -> tuple[int, int]:
+    """Real and imaginary parts of sum_k cs[k] (a + ib)^k q^(m - k), with
+    m = len(cs) - 1, by integer Horner: q^m times the polynomial at
+    z = (a + ib)/q."""
+    ar, ai = cs[-1], 0
+    qk = 1
+    for c in reversed(cs[:-1]):
+        qk *= q
+        ar, ai = ar * a - ai * b + c * qk, ar * b + ai * a
     return ar, ai
 
 
-def _polish_root(p: RatPoly, dp: RatPoly, z: complex, real_root: bool):
+def _polish_root(den: int, P: list[int], z: complex, real_root: bool):
+    """Newton-polish z as a root of p = P/den (P integral, degree n).
+
+    The iterate is z = (a + ib)/q over one denominator; with the
+    homogenized values H = q^n den p(z) and D = q^(n-1) den p'(z) the step
+    is p(z)/p'(z) = H conj(D) / (|D|^2 q), the exact rational Newton step,
+    after which each part is capped at denominator _POLISH_DENOM_CAP."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NumericalFailure("non-finite iterate reached the polishing stage")
+    n = len(P) - 1
+    dP = [k * c for k, c in enumerate(P)][1:]
     re = Fraction(z.real)
     im = Fraction(0) if real_root else Fraction(z.imag)
+
+    def at_iterate():
+        q = math.lcm(re.denominator, im.denominator)
+        a = re.numerator * (q // re.denominator)
+        b = im.numerator * (q // im.denominator)
+        return a, b, q, _homogeneous_eval(P, a, b, q), _homogeneous_eval(dP, a, b, q)
+
     for _ in range(_POLISH_STEPS):
-        pr, pi = _cx_eval(p.coeffs, re, im)
-        dr, di = _cx_eval(dp.coeffs, re, im)
+        a, b, q, (pr, pi), (dr, di) = at_iterate()
         dn = dr * dr + di * di
         if dn == 0:
             break
-        qr = (pr * dr + pi * di) / dn
-        qi = (pi * dr - pr * di) / dn
-        re = (re - qr).limit_denominator(_POLISH_DENOM_CAP)
-        im = Fraction(0) if real_root else (im - qi).limit_denominator(_POLISH_DENOM_CAP)
-    pr, pi = _cx_eval(p.coeffs, re, im)
-    dr, di = _cx_eval(dp.coeffs, re, im)
-    resid = math.hypot(float(pr), float(pi))
-    dmag = math.hypot(float(dr), float(di))
+        # z - p(z)/p'(z) = ((a + ib) dn - (pr + i pi)(dr - i di)) / (dn q)
+        nr, ni = a * dn - (pr * dr + pi * di), b * dn - (pi * dr - pr * di)
+        re = Fraction(nr, dn * q).limit_denominator(_POLISH_DENOM_CAP)
+        if not real_root:
+            im = Fraction(ni, dn * q).limit_denominator(_POLISH_DENOM_CAP)
+    _, _, q, (pr, pi), (dr, di) = at_iterate()
+    # int / int is correctly rounded, so these are float(p(z)), float(p'(z))
+    pscale, dscale = den * q ** n, den * q ** (n - 1)
+    resid = math.hypot(pr / pscale, pi / pscale)
+    dmag = math.hypot(dr / dscale, di / dscale)
     radius = _RADIUS_SAFETY * resid / dmag if dmag > 0 else math.inf
     return float(re), float(im), radius
 
@@ -219,9 +242,9 @@ def _solve_squarefree(factor: RatPoly) -> list[tuple[float, float, float]]:
     n_real = sturm_distinct_real_roots(factor, NEG_INF, POS_INF)
     order = sorted(range(n), key=lambda k: abs(approx[k].imag))
     real_idx = set(order[:n_real])
-    dp = factor.derivative()
+    den, ints = factor.integer_form()
     polished = [
-        _polish_root(factor, dp, approx[k], real_root=(k in real_idx))
+        _polish_root(den, ints, approx[k], real_root=(k in real_idx))
         for k in range(n)
     ]
     # enforce conjugate symmetry on the nonreal part
@@ -273,17 +296,22 @@ def root_sum_is_reflexive(p: RatPoly, d: int) -> bool:
 # Exact transforms for palindromic vectors
 # ----------------------------------------------------------------------
 
-def _symmetric_half(dv: DeltaVector) -> RatPoly:
-    """Coefficients e_k with L(w - 1/2) = sum_k e_k w^(2k + parity); the
-    off-parity part must vanish for palindromic input."""
-    if not dv.palindromic:
-        raise RequiresReflexiveError("requires a palindromic delta-vector")
-    poly = ehrhart_polynomial(dv).shift(Fraction(-1, 2))
-    parity = dv.d % 2
-    for k, c in enumerate(poly.coeffs):
+def _symmetric_half(poly: RatPoly, d: int) -> RatPoly:
+    """Coefficients e_k with L(w - 1/2) = sum_k e_k w^(2k + parity), from
+    the counting polynomial L of a palindromic vector of dimension d; the
+    off-parity part must vanish."""
+    shifted = poly.shift(Fraction(-1, 2))
+    parity = d % 2
+    for k, c in enumerate(shifted.coeffs):
         if k % 2 != parity and c != 0:
             raise AssertionError("symmetry failure on palindromic input")
-    return RatPoly(poly.coeffs[parity::2])
+    return RatPoly(shifted.coeffs[parity::2])
+
+
+def _half_of(dv: DeltaVector) -> RatPoly:
+    if not dv.palindromic:
+        raise RequiresReflexiveError("requires a palindromic delta-vector")
+    return _symmetric_half(ehrhart_polynomial(dv), dv.d)
 
 
 def critical_line_polynomial(dv: DeltaVector) -> RatPoly:
@@ -291,9 +319,7 @@ def critical_line_polynomial(dv: DeltaVector) -> RatPoly:
     correspond exactly to real roots u >= 0 of F (u = beta^2 where
     z = -1/2 + beta*i).  For odd d the forced root at -1/2 is removed.
     Normalized primitive with positive leading coefficient."""
-    half = _symmetric_half(dv)
-    fcl = RatPoly([(-1) ** k * c for k, c in enumerate(half.coeffs)])
-    return fcl.primitive()
+    return _half_of(dv).reflect().primitive()
 
 
 def real_axis_polynomial(dv: DeltaVector) -> RatPoly:
@@ -301,7 +327,7 @@ def real_axis_polynomial(dv: DeltaVector) -> RatPoly:
     real roots u >= 0 of G (u = alpha^2 where z = -1/2 + alpha); the forced
     odd-dimension root at -1/2 is removed.  Same normalization as the
     critical-line polynomial."""
-    return _symmetric_half(dv).primitive()
+    return _half_of(dv).primitive()
 
 
 def is_cl_exact(dv: DeltaVector) -> bool:
@@ -361,14 +387,15 @@ def hypothesis_report(dv: DeltaVector) -> HypothesisReport:
         raise RequiresReflexiveError("requires a palindromic delta-vector")
     d = dv.d
     poly = ehrhart_polynomial(dv)
+    half = _symmetric_half(poly, d)
     verdicts: dict[str, HypothesisVerdict] = {}
 
-    cl = is_cl_exact(dv)
+    cl = all_roots_real_nonneg(half.reflect().primitive())
     verdicts["CL"] = HypothesisVerdict(
         HOLDS_EXACT if cl else FAILS_EXACT,
         None if cl else _witness(poly, lambda r: abs(r.re + 0.5)),
     )
-    real = is_real_exact(dv)
+    real = all_roots_real_nonneg(half.primitive())
     verdicts["Real"] = HypothesisVerdict(
         HOLDS_EXACT if real else FAILS_EXACT,
         None if real else _witness(poly, lambda r: abs(r.im)),

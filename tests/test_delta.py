@@ -72,6 +72,37 @@ def test_ehrhart_from_delta_unit_simplex():
             assert poly(Fraction(m)) == math.comb(m + d, d)
 
 
+def test_ehrhart_polynomial_against_sympy(rng):
+    # L(z) = sum_j delta_j binom(z + d - j, d), expanded by sympy: the
+    # falling product binom(z + d, d) * d!, shifted by -j for each j
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def reference(dv):
+        d = dv.d
+        row0 = sympy.Poly(1, z, domain="ZZ")
+        for c in range(1, d + 1):
+            row0 = row0.mul(sympy.Poly([1, c], z, domain="ZZ"))
+        total = sympy.Poly(0, z, domain="ZZ")
+        for j, delta_j in enumerate(dv.entries):
+            total = total.add(row0.shift(-j).mul_ground(delta_j))
+        fact = math.factorial(d)
+        return RatPoly(Fraction(int(c), fact) for c in reversed(total.all_coeffs()))
+
+    for d in range(1, 65):
+        first, second = (
+            validate_delta([1] + [rng.randint(0, 3000) for _ in range(d)])
+            for _ in range(2)
+        )
+        p_first = ehrhart_polynomial(first)
+        p_second = ehrhart_polynomial(second)
+        assert p_first == reference(first), d
+        assert p_second == reference(second), d
+        # the cached basis is shared between calls and must not change
+        assert ehrhart_polynomial(first) == p_first
+        assert p_first.degree == d
+
+
 def test_dim10_counting_polynomial_exact():
     poly = ehrhart_polynomial(validate_delta(list(DIM10_TARGET)))
     scaled = [c * math.factorial(10) / 18 for c in poly.coeffs]

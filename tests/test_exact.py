@@ -60,6 +60,58 @@ def test_ratpoly_zero_conventions():
         z.leading
 
 
+def _random_ratpoly(rng, degree: int) -> RatPoly:
+    return RatPoly([Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+                    for _ in range(degree)] + [Fraction(rng.randint(1, 99), rng.randint(1, 9))])
+
+
+def test_compose_linear_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+
+    def rational(x):
+        x = Fraction(x)
+        return sympy.Rational(x.numerator, x.denominator)
+
+    def from_sympy(poly):
+        return RatPoly(Fraction(int(c.p), int(c.q)) for c in reversed(poly.all_coeffs()))
+
+    for degree in range(41):
+        p = _random_ratpoly(rng, degree)
+        ref_p = sympy.Poly([rational(c) for c in reversed(p.coeffs)], z, domain="QQ")
+        d = rng.randint(1, 64)
+        shifts = [Fraction(-1, 2), Fraction(d, 2) - 1, Fraction(-d, d + 1),
+                  Fraction(rng.randint(-999, 999), rng.randint(1, 999))]
+        for a in (1, -1, Fraction(rng.randint(-50, 50) or 1, rng.randint(2, 30))):
+            for b in shifts:
+                got = p.compose_linear(a, b)
+                lin = sympy.Poly(rational(a) * z + rational(b), z, domain="QQ")
+                assert got == from_sympy(ref_p.compose(lin)), (degree, a, b)
+                if a == 1:
+                    assert p.shift(b) == got
+        if degree % 8 == 0:
+            # the same against a plain symbolic expansion of p(a*z + b)
+            a, b = Fraction(-3, 7), shifts[degree % 4]
+            expr = sympy.expand(ref_p.as_expr().subs(z, rational(a) * z + rational(b)))
+            assert p.compose_linear(a, b) == from_sympy(sympy.Poly(expr, z))
+
+
+def test_shift_round_trip_and_zero(rng):
+    for degree in range(0, 41, 4):
+        p = _random_ratpoly(rng, degree)
+        for _ in range(3):
+            c = Fraction(rng.randint(-10 ** 5, 10 ** 5), rng.randint(1, 10 ** 5))
+            assert p.shift(c).shift(-c) == p
+            # p(-(-z + c) + c) = p(z)
+            assert p.compose_linear(-1, c).compose_linear(-1, c) == p
+    zero = RatPoly()
+    assert zero.shift(Fraction(-1, 2)).is_zero
+    assert zero.compose_linear(Fraction(3, 7), Fraction(-5, 2)).is_zero
+    # a = 0 leaves the constant p(b)
+    p = RatPoly([1, 2, 3])
+    assert p.compose_linear(0, Fraction(1, 2)) == RatPoly([p(Fraction(1, 2))])
+
+
 def test_binomial_poly_matches_comb():
     for offset in range(-2, 6):
         for d in range(0, 7):

@@ -1,9 +1,12 @@
+import io
 import math
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 from helpers import random_palindromic
 
+from ehrhart_lab.cli import main
 from ehrhart_lab.delta import cube_delta, ehrhart_polynomial, validate_delta
 from ehrhart_lab.exact import RatPoly
 from ehrhart_lab.roots import (
@@ -11,6 +14,7 @@ from ehrhart_lab.roots import (
     HOLDS_EXACT,
     HYPOTHESES,
     RequiresReflexiveError,
+    _homogeneous_eval,
     braun_disc_check,
     critical_line_polynomial,
     find_roots,
@@ -393,3 +397,97 @@ def test_find_roots_up_to_dimension_cap(rng):
     rs = find_roots(ehrhart_polynomial(big_cube))
     assert len(rs.roots) == 1 and rs.roots[0].multiplicity == 20
     assert is_cl_exact(big_cube)
+
+
+# ----------------------------------------------------------------------
+# the integer Newton polish
+# ----------------------------------------------------------------------
+
+def _cx_eval(coeffs, re: Fraction, im: Fraction):
+    """Reference: complex Horner on Fractions (coefficients constant first)."""
+    ar, ai = Fraction(0), Fraction(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * re - ai * im + c, ar * im + ai * re
+    return ar, ai
+
+
+def test_homogeneous_eval_matches_fraction_horner(rng):
+    cap = 10 ** 50
+    for _ in range(150):
+        n = rng.randint(1, 24)
+        p = RatPoly([Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 6))
+                     for _ in range(n)] + [Fraction(rng.randint(1, 999), rng.randint(1, 99))])
+        dp = p.derivative()
+        den, P = p.integer_form()
+        dP = [k * c for k, c in enumerate(P)][1:]
+        if rng.random() < 0.5:
+            # dyadic: the iterate as it leaves the floating-point solver
+            re = Fraction(rng.uniform(-40, 40))
+            im = Fraction(0) if rng.random() < 0.3 else Fraction(rng.uniform(-40, 40))
+        else:
+            # denominators up to the polishing cap
+            re, im = (Fraction(rng.randint(-10 ** 52, 10 ** 52), rng.randint(1, cap))
+                      for _ in range(2))
+        q = math.lcm(re.denominator, im.denominator)
+        a, b = re.numerator * (q // re.denominator), im.numerator * (q // im.denominator)
+        pr, pi = _homogeneous_eval(P, a, b, q)
+        dr, di = _homogeneous_eval(dP, a, b, q)
+        assert (Fraction(pr, den * q ** n), Fraction(pi, den * q ** n)) == _cx_eval(
+            p.coeffs, re, im)
+        assert (Fraction(dr, den * q ** (n - 1)), Fraction(di, den * q ** (n - 1))) == _cx_eval(
+            dp.coeffs, re, im)
+
+
+# `roots --format csv` pinned byte for byte, error radii included
+ROOTS_CSV_GOLDEN = {
+    "1,1,1,1,9,28,9,1,1,1,1": """\
+# ehrhart-lab v1
+re,im,multiplicity,error_radius
+-5.217307718017448,-6.850485461165033,1,1.8093255154101686e-99
+-5.217307718017448,6.850485461165033,1,1.8093255154101686e-99
+-0.5,-3.39402662569667,1,1.9451794476656776e-100
+-0.5,-1.651913755345573,1,4.641524085892141e-100
+-0.5,-0.38658286903215794,1,1.2863302659955322e-99
+-0.5,0.38658286903215794,1,1.2863302659955322e-99
+-0.5,1.651913755345573,1,4.641524085892141e-100
+-0.5,3.39402662569667,1,1.9451794476656776e-100
+4.217307718017448,-6.850485461165033,1,1.8093255154101686e-99
+4.217307718017448,6.850485461165033,1,1.8093255154101686e-99
+""",
+    "1,76,230,76,1": """\
+# ehrhart-lab v1
+re,im,multiplicity,error_radius
+-0.5,0.0,4,1.5000000000000001e-15
+""",
+    # random_palindromic(random.Random(16), 16)
+    "1,1481,1922,1969,1168,1708,929,1830,24,1830,929,1708,1168,1969,1922,1481,1": """\
+# ehrhart-lab v1
+re,im,multiplicity,error_radius
+-0.9890340155103562,0.0,1,1.9312894391969205e-100
+-0.5,-43.05506445202225,1,9.937994115427697e-100
+-0.5,-17.942610991848905,1,1.0842740197533272e-100
+-0.5,-10.403768388488665,1,1.4451099639410796e-100
+-0.5,-6.316163984385651,1,5.030170680115656e-99
+-0.5,-3.7472623658718955,1,5.812168407597093e-100
+-0.5,-1.9307340165392097,1,1.8297996193578246e-99
+-0.5,-0.584668810269295,1,2.2067526244290562e-100
+-0.5,0.584668810269295,1,2.2067526244290562e-100
+-0.5,1.9307340165392097,1,1.8297996193578246e-99
+-0.5,3.7472623658718955,1,5.812168407597093e-100
+-0.5,6.316163984385651,1,5.030170680115656e-99
+-0.5,10.403768388488665,1,1.4451099639410796e-100
+-0.5,17.942610991848905,1,1.0842740197533272e-100
+-0.5,43.05506445202225,1,9.937994115427697e-100
+-0.010965984489643756,0.0,1,1.9312894391969205e-100
+""",
+}
+
+
+@pytest.mark.parametrize("delta", sorted(ROOTS_CSV_GOLDEN))
+def test_roots_csv_golden(delta):
+    find_roots.cache_clear()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(["roots", "--delta", delta, "--format", "csv"])
+    assert code == 0
+    assert out.getvalue() == ROOTS_CSV_GOLDEN[delta]
