@@ -247,7 +247,7 @@ def _classify_cubic(dim: int, d1: int, d2: int, d3: int,
     # mixed: the cubic has a strictly positive and a strictly negative root
     pos = sturm_distinct_real_roots(cubic, 0, POS_INF)
     neg = sturm_distinct_real_roots(cubic, NEG_INF, 0)
-    if cubic(Fraction(0)) == 0:
+    if cubic.coefficient(0) == 0:
         neg -= 1
     mixed = pos >= 1 and neg >= 1
     fallback = "mixed" if mixed else ("quartet" if disc < 0 else "none")

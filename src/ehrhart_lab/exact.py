@@ -4,7 +4,11 @@ counting, and integer matrix normal forms.
 Nothing in this module touches floating point.  Every decision made
 elsewhere in the package that matters for a classification (CL / real /
 strip verdicts, lattice indices, box points) bottoms out in the routines
-here, so they are kept exact on `fractions.Fraction` and Python integers.
+here.  `RatPoly` (over `fractions.Fraction`) is the type at the API
+boundary; underneath, Sturm counts, gcds, square-free decompositions and
+the half-plane counter share one integer remainder chain on primitive
+integer polynomials, and resultants and discriminants are Bareiss
+determinants of integer Sylvester matrices.
 """
 
 from __future__ import annotations
@@ -222,12 +226,9 @@ class RatPoly:
         return self * (1 / self.leading)
 
     def gcd(self, other: "RatPoly") -> "RatPoly":
-        a, b = self, other
-        while not b.is_zero:
-            a, b = b, a % b
-        if a.is_zero:
-            return a
-        return a.monic()
+        """Monic gcd, the last element of the integer remainder chain."""
+        g = _int_chain(self.integer_form()[1], other.integer_form()[1])[-1]
+        return RatPoly(g).monic()
 
     def squarefree_part(self) -> "RatPoly":
         if self.degree <= 0:
@@ -238,24 +239,26 @@ class RatPoly:
         return self.exact_div(g)
 
     def squarefree_decomposition(self) -> list[tuple["RatPoly", int]]:
-        """Yun's algorithm: return [(f_i, i)] with the f_i square-free,
-        pairwise coprime, and prod f_i^i = self up to a scalar."""
+        """Yun's algorithm: return [(f_i, i)] with the f_i monic,
+        square-free, pairwise coprime, and prod f_i^i = self up to a
+        scalar.  Run on integer polynomials: b and c are always divided
+        by the same gcd, so c - b' keeps its meaning."""
         if self.degree <= 0:
             return []
         out: list[tuple[RatPoly, int]] = []
-        dp = self.derivative()
-        a0 = self.gcd(dp)
-        b = self.exact_div(a0)
-        c = dp.exact_div(a0)
-        d = c - b.derivative()
+        f = _primitive(self.integer_form()[1])
+        df = _derivative(f)
+        a0 = _int_chain(f, df)[-1]
+        b, c = _int_exact_div(f, a0), _int_exact_div(df, a0)
         i = 1
-        while b.degree > 0:
-            ai = b.gcd(d)
-            if ai.degree > 0:
-                out.append((ai, i))
-            b = b.exact_div(ai) if ai.degree > 0 else b
-            c = d.exact_div(ai) if ai.degree > 0 else d
-            d = c - b.derivative()
+        while len(b) > 1:
+            d = _trim([x - y for x, y in zip(c + [0] * len(b), _derivative(b))])
+            ai = _int_chain(b, d)[-1]
+            if len(ai) > 1:
+                out.append((RatPoly(ai).monic(), i))
+                b, c = _int_exact_div(b, ai), _int_exact_div(d, ai)
+            else:
+                c = d
             i += 1
         return out
 
@@ -333,24 +336,100 @@ def _sign_changes(signs: Sequence[int]) -> int:
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
-def _chain_signs_at(chain: Sequence[RatPoly], x) -> list[int]:
-    if x == POS_INF:
-        return [_sign(p.leading) for p in chain if not p.is_zero]
-    if x == NEG_INF:
-        return [_sign(p.leading) * (-1) ** p.degree for p in chain if not p.is_zero]
-    xf = _as_fraction(x)
-    return [_sign(p(xf)) for p in chain if not p.is_zero]
+def _signs_at(chain: Sequence[Sequence[int]], x) -> list[int]:
+    """Signs of integer polynomials at x (+-inf, int or Fraction); at
+    x = a/b, the sign of b^n f(a/b) by integer homogeneous Horner."""
+    if x == POS_INF or x == NEG_INF:
+        flip = -1 if x == NEG_INF else 1
+        return [_sign(f[-1]) * flip ** (len(f) - 1) for f in chain]
+    x = _as_fraction(x)
+    a, b = x.numerator, x.denominator
+    signs = []
+    for f in chain:
+        acc, bk = f[-1], 1
+        for c in reversed(f[:-1]):
+            bk *= b
+            acc = acc * a + c * bk
+        signs.append(_sign(acc))
+    return signs
 
 
-def _remainder_chain(f0: RatPoly, f1: RatPoly) -> list[RatPoly]:
-    """Negated Euclidean remainder sequence f0, f1, -rem(f0, f1), ...;
-    the last element is gcd(f0, f1) up to a scalar."""
-    chain = [f0, f1]
-    while not chain[-1].is_zero and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero:
-        chain.pop()
+def _variations(chain: Sequence[Sequence[int]], lo=NEG_INF, hi=POS_INF) -> int:
+    """Sign variations of the chain at lo minus those at hi."""
+    return _sign_changes(_signs_at(chain, lo)) - _sign_changes(_signs_at(chain, hi))
+
+
+def _primitive(f: list[int]) -> list[int]:
+    """f over its positive content, so every sign is kept."""
+    g = math.gcd(*f)
+    return [c // g for c in f] if g > 1 else f
+
+
+def _derivative(f: Sequence[int]) -> list[int]:
+    return [k * c for k, c in enumerate(f)][1:]
+
+
+def _trim(f: list[int]) -> list[int]:
+    while f and f[-1] == 0:
+        f.pop()
+    return f
+
+
+def _neg_prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Primitive positive multiple of -rem(f, g): each pseudo-division
+    step scales by |lc(g)| / gcd(top, lc(g)) > 0 only."""
+    r = list(f)
+    n = len(g) - 1
+    alc, slc = abs(g[-1]), _sign(g[-1])
+    for k in range(len(r) - 1, n - 1, -1):
+        c = r.pop()
+        if c:
+            h = math.gcd(c, alc)
+            if h != alc:
+                r = [alc // h * x for x in r]
+            t = slc * (c // h)
+            for j in range(n):
+                r[k - n + j] -= t * g[j]
+    return _primitive([-x for x in _trim(r)])
+
+
+def _int_chain(f0: list[int], f1: list[int]) -> list[list[int]]:
+    """Primitive remainder chain (Collins, JACM 14, 1967).  Each element
+    is a positive multiple of the one of the Euclidean chain f0, f1,
+    -rem(f0, f1), ..., so sign variations and Cauchy indices are those of
+    that chain; the last element is a primitive gcd(f0, f1)."""
+    chain = [_primitive(f0), _primitive(f1)] if f1 else [_primitive(f0)]
+    while len(chain) > 1 and len(chain[-1]) > 1:
+        r = _neg_prem(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(r)
     return chain
+
+
+def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """f / g for a primitive g dividing f: integral by Gauss's lemma."""
+    r = list(f)
+    n = len(g) - 1
+    q = [0] * (len(r) - n)
+    for k in range(len(q) - 1, -1, -1):
+        q[k], rem = divmod(r[k + n], g[-1])
+        if rem:
+            raise ValueError("division is not exact")
+        for j in range(n):
+            r[k + j] -= q[k] * g[j]
+    return q
+
+
+def _sturm_chain(f: list[int]) -> tuple[list[list[int]], list[int]]:
+    """(Sturm chain of s = f / g, g = gcd(f, f')) for deg f >= 1: the
+    chain of (f, f') over g, whose second element has the sign of s' at
+    every root of s."""
+    chain = _int_chain(f, _derivative(f))
+    g = chain[-1]
+    if len(g) > 1:
+        chain = [_int_exact_div(h, g) for h in chain]
+    return chain, g
 
 
 def sturm_distinct_real_roots(p: RatPoly, lo=NEG_INF, hi=POS_INF) -> int:
@@ -363,13 +442,9 @@ def sturm_distinct_real_roots(p: RatPoly, lo=NEG_INF, hi=POS_INF) -> int:
         raise ValueError("zero polynomial")
     if not _endpoint_lt(lo, hi):
         raise ValueError("need lo < hi")
-    s = p.squarefree_part()
-    if s.degree <= 0:
+    if p.degree == 0:
         return 0
-    chain = _remainder_chain(s, s.derivative())
-    return _sign_changes(_chain_signs_at(chain, lo)) - _sign_changes(
-        _chain_signs_at(chain, hi)
-    )
+    return _variations(_sturm_chain(p.integer_form()[1])[0], lo, hi)
 
 
 def _endpoint_lt(lo, hi) -> bool:
@@ -397,13 +472,12 @@ def all_roots_real_nonneg(p: RatPoly) -> bool:
     """
     if p.is_zero:
         raise ValueError("zero polynomial")
-    s = p.squarefree_part()
-    if s.degree <= 0:
+    if p.degree == 0:
         return True
-    count = sturm_distinct_real_roots(s, 0, POS_INF)
-    if s(Fraction(0)) == 0:
-        count += 1
-    ok = count == s.degree
+    f = p.integer_form()[1]
+    chain, g = _sturm_chain(f)
+    count = _variations(chain, 0) + (f[0] == 0)
+    ok = count == len(f) - len(g)  # the degree of the square-free part
     if ok and descartes_positive_bound(p.reflect()) != 0:
         raise AssertionError("Sturm and Descartes disagree; exact kernel bug")
     return ok
@@ -423,19 +497,20 @@ def halfplane_counts(p: RatPoly) -> tuple[int, int]:
     n = p.degree
     a = [0] * (n + 1)
     b = [0] * (n + 1)
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(p.integer_form()[1]):
         sign = -1 if k % 4 >= 2 else 1  # i^k = sign * i^(k mod 2)
         (b if k % 2 else a)[k] = sign * c
-    re, im = RatPoly(a), RatPoly(b)
-    s = 1 if re.degree > im.degree else -1
-    chain = _remainder_chain(re, im) if s == 1 else _remainder_chain(im, re)
-    index = _sign_changes(_chain_signs_at(chain, NEG_INF)) - _sign_changes(
-        _chain_signs_at(chain, POS_INF)
-    )
-    on_axis = sum(
-        mult * sturm_distinct_real_roots(factor)
-        for factor, mult in chain[-1].squarefree_decomposition()
-    )
+    re, im = _trim(a), _trim(b)
+    s = 1 if len(re) > len(im) else -1
+    chain = _int_chain(re, im) if s == 1 else _int_chain(im, re)
+    index = _variations(chain)
+    # a real root of g = gcd(A, B) of multiplicity m is a root of g,
+    # gcd(g, g'), ... up to the m-th: their distinct counts add up to m
+    on_axis = 0
+    g = chain[-1]
+    while len(g) > 1:
+        sturm, g = _sturm_chain(g)
+        on_axis += _variations(sturm)
     # right + left = n - on_axis and right - left = s * index
     return (n - on_axis + s * index) // 2, on_axis
 
@@ -451,8 +526,18 @@ def routh_right_halfplane_count(p: RatPoly) -> int | None:
 # Resultants and discriminants
 # ----------------------------------------------------------------------
 
+def _sylvester_det(P: Sequence[int], Q: Sequence[int]) -> int:
+    """Res(P, Q) for integer P, Q not both constant: the Bareiss
+    determinant of their Sylvester matrix."""
+    n, m = len(P) - 1, len(Q) - 1
+    rows = [[0] * i + P[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    rows += [[0] * i + Q[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    return IntMatrix(rows).det()
+
+
 def resultant(p: RatPoly, q: RatPoly) -> Fraction:
-    """Resultant of p and q via the Sylvester determinant."""
+    """Resultant of p and q via the Sylvester determinant, taken on
+    P = dp p and Q = dq q: Res(p, q) = Res(P, Q) / (dp^m dq^n)."""
     if p.is_zero or q.is_zero:
         return Fraction(0)
     n, m = p.degree, q.degree
@@ -460,25 +545,20 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
         return p.leading ** m
     if m == 0:
         return q.leading ** n
-    size = n + m
-    rows = []
-    pc = list(reversed(p.coeffs))
-    qc = list(reversed(q.coeffs))
-    for i in range(m):
-        rows.append([Fraction(0)] * i + pc + [Fraction(0)] * (size - n - 1 - i))
-    for i in range(n):
-        rows.append([Fraction(0)] * i + qc + [Fraction(0)] * (size - m - 1 - i))
-    ints, scales = _clear_row_denominators(rows)
-    return Fraction(IntMatrix(ints).det(), math.prod(scales))
+    (dp, P), (dq, Q) = p.integer_form(), q.integer_form()
+    return Fraction(_sylvester_det(P, Q), dp ** m * dq ** n)
 
 
 def discriminant(p: RatPoly) -> Fraction:
-    """Disc(p) = (-1)^{n(n-1)/2} Res(p, p') / lead(p)."""
+    """Disc(p) = (-1)^{n(n-1)/2} Res(p, p') / lead(p), taken on the
+    integer P = den p: Disc(p) = Disc(P) / den^(2n-2)."""
     n = p.degree
     if n < 1:
         raise ValueError("discriminant needs degree >= 1")
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
-    return sign * resultant(p, p.derivative()) / p.leading
+    den, P = p.integer_form()
+    disc = sign * _sylvester_det(P, _derivative(P)) // P[-1]
+    return Fraction(disc, den ** (2 * n - 2))
 
 
 # ----------------------------------------------------------------------

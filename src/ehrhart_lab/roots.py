@@ -193,6 +193,31 @@ def _homogeneous_eval(cs: list[int], a: int, b: int, q: int) -> tuple[int, int]:
     return ar, ai
 
 
+def _limit_denominator(n: int, d: int, cap: int) -> Fraction:
+    """Fraction(n, d).limit_denominator(cap) for d > 0, without reducing
+    n/d first: the continued-fraction quotients of n/d are those of its
+    reduced form (every remainder carries the same common factor), and an
+    expansion that ends within the cap gives n/d itself."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    den = d
+    while d:
+        a = n // d
+        q2 = q0 + a * q1
+        if q2 > cap:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        n, d = d, n - a * d
+    else:
+        return Fraction(p1, q1)
+    k = (cap - q0) // q1
+    # the input lies between p1/q1 and the semiconvergent (p0 + k p1) /
+    # (q0 + k q1), which are 1/(q1 (q0 + k q1)) apart; its distance from
+    # p1/q1 is d/(q1 den), d the last remainder.  Ties go to p1/q1.
+    if 2 * d * (q0 + k * q1) <= den:
+        return Fraction(p1, q1)
+    return Fraction(p0 + k * p1, q0 + k * q1)
+
+
 def _polish_root(den: int, P: list[int], z: complex, real_root: bool):
     """Newton-polish z as a root of p = P/den (P integral, degree n).
 
@@ -220,9 +245,9 @@ def _polish_root(den: int, P: list[int], z: complex, real_root: bool):
             break
         # z - p(z)/p'(z) = ((a + ib) dn - (pr + i pi)(dr - i di)) / (dn q)
         nr, ni = a * dn - (pr * dr + pi * di), b * dn - (pi * dr - pr * di)
-        re = Fraction(nr, dn * q).limit_denominator(_POLISH_DENOM_CAP)
+        re = _limit_denominator(nr, dn * q, _POLISH_DENOM_CAP)
         if not real_root:
-            im = Fraction(ni, dn * q).limit_denominator(_POLISH_DENOM_CAP)
+            im = _limit_denominator(ni, dn * q, _POLISH_DENOM_CAP)
     _, _, q, (pr, pi), (dr, di) = at_iterate()
     # int / int is correctly rounded, so these are float(p(z)), float(p'(z))
     pscale, dscale = den * q ** n, den * q ** (n - 1)

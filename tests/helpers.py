@@ -54,3 +54,15 @@ def random_reflexive_simplex(rng: random.Random, d_max: int = 5) -> LatticeSimpl
     w = rng.choice(pool)
     s = simplex_from_weights(w)
     return transform_simplex(s, random_unimodular(rng, s.d, steps=4), rng)
+
+
+def fraction_remainder_chain(f0, f1):
+    """Reference negated Euclidean remainder chain f0, f1, -rem(f0, f1), ...
+    on `RatPoly` (`Fraction` division); the last element is gcd(f0, f1)
+    up to a scalar.  The integer chain in `exact` must match its signs."""
+    chain = [f0, f1]
+    while not chain[-1].is_zero and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero:
+        chain.pop()
+    return chain

@@ -1,10 +1,14 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
+from ehrhart_lab import cli
 from ehrhart_lab.cli import main
+
+GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_regions.json").read_text())
 
 
 def run_cli(*argv):
@@ -185,3 +189,38 @@ def test_realize_undecided_exits_three(monkeypatch):
     assert code == 3
     payload = json.loads(out)
     assert payload["search_log"]["undecided"]
+
+
+def test_cached_parser_matches_fresh_parsers(monkeypatch):
+    calls = [
+        ("classify", "--delta", "1,7,1", "--format", "csv"),
+        ("series", "--delta", "1,6,1", "--terms", "3"),
+        ("classify", "--delta", "1,76,230,76,1"),
+        ("classify", "--delta", "1,7,1", "--format", "xml"),   # usage error
+        ("regions", "-d", "6", "--d1", "1..2", "--d2", "1..2", "--d3", "1..2"),
+        ("cube-delta", "-d", "4", "--format", "json"),
+        ("series", "--delta", "1,6,1", "--terms", "3"),
+        ("roots",),                                            # usage error
+        ("classify", "--delta", "1,7,1", "--format", "csv"),
+    ]
+    cached = [run_cli(*argv) for argv in calls]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run_cli(*argv) for argv in calls] == cached
+    assert [code for code, _, _ in cached] == [2, 0, 0, 1, 0, 0, 0, 1, 2]
+
+
+# recorded before the integer remainder chain replaced the Fraction one:
+# 4x4x4 boxes at four origins per cubic dimension (the first of each holds
+# a case-2b point, b0 = 0) and classify's low_dim.discriminant strings
+@pytest.mark.parametrize("command", sorted(GOLDEN["regions"]))
+def test_regions_csv_golden(command):
+    code, out, _ = run_cli(*command.split())
+    assert code == 0
+    assert out == GOLDEN["regions"][command]
+
+
+def test_classify_discriminant_golden():
+    for delta, disc in GOLDEN["discriminants"].items():
+        _, out, _ = run_cli("classify", "--delta", delta)
+        assert json.loads(out)["low_dim"]["discriminant"] == disc, delta

@@ -15,6 +15,7 @@ from ehrhart_lab.roots import (
     HYPOTHESES,
     RequiresReflexiveError,
     _homogeneous_eval,
+    _limit_denominator,
     braun_disc_check,
     critical_line_polynomial,
     find_roots,
@@ -436,6 +437,24 @@ def test_homogeneous_eval_matches_fraction_horner(rng):
             p.coeffs, re, im)
         assert (Fraction(dr, den * q ** (n - 1)), Fraction(di, den * q ** (n - 1))) == _cx_eval(
             dp.coeffs, re, im)
+
+
+def test_limit_denominator_matches_fraction(rng):
+    # every small fraction and cap, ties between the two candidates included
+    for n in range(-40, 41):
+        for d in range(1, 13):
+            for cap in range(1, 8):
+                g = rng.randint(1, 50)
+                assert _limit_denominator(n * g, d * g, cap) == Fraction(
+                    n, d).limit_denominator(cap)
+    # unreduced polish-sized inputs, over and under the 10^50 cap
+    for _ in range(3000):
+        g = rng.randint(1, 10 ** rng.randint(0, 40))
+        n = rng.randint(-10 ** rng.randint(1, 120), 10 ** rng.randint(1, 120))
+        d = rng.randint(1, 10 ** rng.randint(1, 120))
+        cap = rng.choice([10 ** 50, 10 ** rng.randint(0, 60)])
+        assert _limit_denominator(n * g, d * g, cap) == Fraction(
+            n, d).limit_denominator(cap)
 
 
 # `roots --format csv` pinned byte for byte, error radii included
