@@ -21,7 +21,7 @@ import json
 import sys
 
 from . import __version__
-from .criteria import classify, region_rows
+from .criteria import CLOSED_FORMS, classify, region_rows
 from .delta import (
     InvalidDeltaError,
     cube_delta,
@@ -74,11 +74,11 @@ def cmd_classify(args) -> int:
     dv = parse_delta(args.delta)
     if not dv.palindromic:
         raise CliError("classify requires a palindromic delta-vector")
-    if 2 <= dv.d <= 7 and min(dv.entries[1:dv.d]) < 1:
-        # the closed-form classifiers of dimensions 2..7 need these entries
+    if dv.d in CLOSED_FORMS and min(dv.entries[1:dv.d // 2 + 1]) < 1:
+        # the closed-form classifiers need their free entries to be >= 1
         raise CliError("classify needs delta_1..delta_{d-1} >= 1 in dimensions 2..7")
     report = hypothesis_report(dv)
-    low_dim = classify(dv) if 2 <= dv.d <= 7 else None
+    low_dim = classify(dv) if dv.d in CLOSED_FORMS else None
     if low_dim is not None:
         # the closed-form criteria and the exact transforms must agree
         if low_dim.is_cl != report.verdicts["CL"].holds or (
@@ -184,8 +184,7 @@ def cmd_regions(args) -> int:
     r3 = _parse_range(args.d3) if args.d3 else None
     try:
         rows_iter = region_rows(d, r1, r2, r3)
-        header = (["d1"] + (["d2"] if d >= 4 else [])
-                  + (["d3"] if d >= 6 else [])
+        header = ([f"d{k}" for k in range(1, d // 2 + 1)]
                   + ["is_cl", "is_real", "mixed", "case_label"])
         rows = [
             list(point) + [int(c.is_cl), int(c.is_real), int(c.mixed), c.case_label]

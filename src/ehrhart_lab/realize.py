@@ -1,5 +1,5 @@
 """Realize a palindromic delta-vector with delta_1 = 1 as a terminal
-reflexive simplex, or certify that none exists.
+reflexive simplex.
 
 Such a simplex is a quotient of a weighted projective simplex Q by a
 finite group whose order (the multiplicity) divides the entry sum.  The
@@ -25,6 +25,13 @@ for the chart method) go through the overlattice tower instead: a
 multiplicity-n simplex is exactly Q seen from an index-n overlattice, so
 climbing index-p extensions with delta-domination pruning is a complete
 search, including non-cyclic quotient groups.
+
+The chart route sees cyclic groups only.  A chart row whose multiplicity
+has a repeated prime factor (4, 8, 9, 12, ...) can also be realized by a
+non-cyclic group, which that route never finds: `1,1,11,22,11,1,1` has a
+Z/2 x Z/2 quotient of the weights 1,1,1,2,2,2,3 that `realize` misses.
+An empty answer is therefore a certificate of non-existence only when no
+dominant row that went through the chart route has such a multiplicity.
 """
 
 from __future__ import annotations
@@ -462,8 +469,11 @@ def realize(dv: DeltaVector) -> RealizationResult:
     """Find all terminal reflexive simplices with the given delta-vector
     (palindromic, delta_1 = 1), with a stage-by-stage search log.
 
-    An empty result with no undecided entries certifies non-existence
-    relative to the completeness of the quotient construction.
+    An empty result with no undecided entries is not a certificate when
+    a dominant row that went through the chart route (one of
+    `log.dominant_rows` without an entry in `log.tower_scans`) has a
+    multiplicity with a repeated prime factor: that route sees cyclic
+    groups only.
     """
     _require_target(dv)
     d = dv.d

@@ -62,9 +62,6 @@ class RootSet:
     roots: tuple[ComplexRoot, ...]
     degree: int
 
-    def csv_rows(self) -> list[tuple[float, float, int, float]]:
-        return [(r.re, r.im, r.multiplicity, r.error_radius) for r in self.roots]
-
 
 @dataclass(frozen=True)
 class HypothesisVerdict:

@@ -212,7 +212,10 @@ def test_cached_parser_matches_fresh_parsers(monkeypatch):
 
 # recorded before the integer remainder chain replaced the Fraction one:
 # 4x4x4 boxes at four origins per cubic dimension (the first of each holds
-# a case-2b point, b0 = 0) and classify's low_dim.discriminant strings
+# a case-2b point, b0 = 0) and classify's low_dim.discriminant strings.
+# Recorded before the table-driven classifier: boxes in dimensions 2..5
+# across the thresholds, the tangent/mixed lines and the vertices
+# (76, 230) and (237, 1682), and full `classify` JSON for d = 2..5
 @pytest.mark.parametrize("command", sorted(GOLDEN["regions"]))
 def test_regions_csv_golden(command):
     code, out, _ = run_cli(*command.split())
@@ -224,3 +227,10 @@ def test_classify_discriminant_golden():
     for delta, disc in GOLDEN["discriminants"].items():
         _, out, _ = run_cli("classify", "--delta", delta)
         assert json.loads(out)["low_dim"]["discriminant"] == disc, delta
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN["classify"]))
+def test_classify_json_golden(command):
+    code, out, err = run_cli(*command.split())
+    assert [code, out] == GOLDEN["classify"][command]
+    assert err == ""

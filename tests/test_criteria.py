@@ -24,7 +24,7 @@ from ehrhart_lab.criteria import (
     volume_bounds_check,
 )
 from ehrhart_lab.delta import cube_delta, ehrhart_polynomial, validate_delta
-from ehrhart_lab.exact import RatPoly
+from ehrhart_lab.exact import NEG_INF, POS_INF, RatPoly, sturm_distinct_real_roots
 from ehrhart_lab.roots import (
     critical_line_polynomial,
     is_cl_exact,
@@ -309,3 +309,67 @@ def test_only_four_root_configurations(rng):
         if not c.is_cl and not c.is_real:
             assert c.mixed or (c.discriminant_value is not None
                                and c.discriminant_value < 0)
+
+
+def two_sturm_mixed(cubic):
+    """Reference `mixed`: a strictly positive and a strictly negative root,
+    counted by two Sturm sequences ((-oo, 0] holds a zero root)."""
+    pos = sturm_distinct_real_roots(cubic, 0, POS_INF)
+    neg = sturm_distinct_real_roots(cubic, NEG_INF, 0)
+    if cubic.coefficient(0) == 0:
+        neg -= 1
+    return pos >= 1 and neg >= 1
+
+
+def mixed_oracle_grid():
+    """Cubic points (d, d1, d2, d3): small boxes around the cube points
+    (disc = 0) and the constant-term-zero points (8, 1, 28) and
+    (11, 5, 14), boxes across the mixed region, the constant-term-zero
+    points of a small range in each dimension and of a dimension-6 range
+    where the zero root sits between a negative and a positive one, and
+    the dimension-6 points with a double root at zero (disc = 0)."""
+    centres = [(6, 722, 10543, 23548), (7, 2179, 60657, 259723),
+               (6, 8, 1, 28), (6, 11, 5, 14), (6, 9, 2, 26), (7, 30, 2, 20)]
+    pts = {(d, a + i, b + j, c + k) for d, a, b, c in centres
+           for i in range(-2, 3) for j in range(-2, 3) for k in range(-2, 3)}
+    for d1, d2 in [(d1, d2) for d1 in range(1, 60) for d2 in range(1, 60)] + [
+            (d1, d2) for d1 in range(100, 141, 20) for d2 in range(270, 500, 3)]:
+        b0 = 462 - 42 * d1 + 14 * d2        # dimension 6, b0 = 5 d3
+        if b0 > 0 and b0 % 5 == 0:
+            pts.add((6, d1, d2, b0 // 5))
+        c0 = 88069 - 3043 * d1 + 429 * d2   # dimension 7, c0 = 75 d3
+        if c0 > 0 and c0 % 75 == 0:
+            pts.add((7, d1, d2, c0 // 75))
+    for t in range(-3, 5):                  # b1 = b0 = 0, see the edge lines
+        d3 = 23548 + 497 * 994 * t
+        pts.add((6, (27 * d3 + 81872) // 994, (218 * d3 + 106407) // 497, d3))
+    return sorted(p for p in pts if min(p[1:]) >= 1)
+
+
+def test_mixed_matches_two_sturm_counts():
+    grid = mixed_oracle_grid()
+    seen = {"mixed": 0, "mixed with a zero root": 0, "disc = 0": 0,
+            "disc = 0 with a zero root": 0}
+    for d, d1, d2, d3 in grid:
+        cubic = (dim6_cubic if d == 6 else dim7_cubic)(d1, d2, d3)
+        c = classify(delta_for_pair(d, d1, d2, d3))
+        assert c.mixed == two_sturm_mixed(cubic), (d, d1, d2, d3)
+        zero_root = cubic.coefficient(0) == 0
+        seen["mixed"] += c.mixed
+        seen["mixed with a zero root"] += c.mixed and zero_root
+        seen["disc = 0"] += c.discriminant_value == 0
+        seen["disc = 0 with a zero root"] += c.discriminant_value == 0 and zero_root
+    # the grid reaches every configuration the rule has to get right
+    assert min(seen.values()) > 0, seen
+
+
+def test_mixed_matches_sympy_roots():
+    sympy = pytest.importorskip("sympy")
+    u = sympy.Symbol("u")
+    for d, d1, d2, d3 in mixed_oracle_grid()[::7]:
+        cubic = (dim6_cubic if d == 6 else dim7_cubic)(d1, d2, d3)
+        poly = sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                           for c in reversed(cubic.coeffs)], u)
+        signs = {sympy.sign(r) for r in sympy.real_roots(poly)}
+        c = classify(delta_for_pair(d, d1, d2, d3))
+        assert c.mixed == ({1, -1} <= signs), (d, d1, d2, d3)

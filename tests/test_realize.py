@@ -346,3 +346,14 @@ def test_realize_composite_order_quotient():
     # lattice isomorphism, all verified geometrically
     assert len(result.realizations) == 4
     assert not result.undecided
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "the second realization is a Z/2 x Z/2 quotient of the weights "
+    "1,1,1,2,2,2,3, which the chart route (cyclic actions only) never sees"))
+def test_realize_non_cyclic_quotient():
+    # the chart row mult 4, weights 1,1,1,2,2,2,3 also has a non-cyclic
+    # group; tower_scan finds that quotient, realize reports only the
+    # mult-2 realization on the weights 1,1,2,3,3,6,8
+    result = realize(validate_delta([1, 1, 11, 22, 11, 1, 1]))
+    assert len(result.realizations) == 2
