@@ -14,6 +14,9 @@ two positive roots, e.g. u(u-1)(u-2)), and F(u), F(-u) share Disc.
 `mixed` (a strictly positive and a strictly negative root) is Disc >= 0
 with a coefficient sign change in both F(u) and F(-u): with Disc < 0 one
 root is real, and with Disc >= 0 all are, so Descartes' count is exact.
+These are signs, kept under positive scaling, so they are read off the
+integer cubic G = 64 F and its closed-form discriminant (64 is the lcm of
+the table's denominators; `discriminant_value` is Disc(G) / 64^4).
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .delta import DeltaVector, ehrhart_polynomial, validate_delta
-from .exact import RatPoly, descartes_positive_bound, discriminant
+from .exact import RatPoly, discriminant, integer_discriminant, sign_changes
 from .roots import is_cl_exact, is_real_exact, strip_verdict
 
 
@@ -95,6 +98,7 @@ CLOSED_FORMS = {
                (-7, 4, (139, 67, 19, -5)),
                (1, 1, (1, 1, 1, 1)))),
 }
+CUBIC_SCALE = 64  # the lcm of the cubic denominators: 64 F is integral
 
 
 def _classifier(d: int):
@@ -113,7 +117,7 @@ def _result(d: int, cl_case: str | None, real_case: str | None, mixed: bool,
     if real_case:
         parts.append(f"dim{d}-real({real_case})")
     if not parts:
-        quartet = disc is not None and disc < 0
+        quartet = disc is not None and disc.numerator < 0
         parts.append(f"dim{d}-" + ("mixed" if mixed else "quartet" if quartet else "none"))
     return LowDimClassification(d, cl_case is not None, real_case is not None,
                                 mixed, ";".join(parts), disc, roots)
@@ -166,19 +170,18 @@ def _classify_quadratic(d: int, d1: int, d2: int) -> LowDimClassification:
     )
 
 
-def _cubic(d: int, d1: int, d2: int, d3: int) -> RatPoly:
-    return RatPoly([
-        Fraction(num * (c0 + c1 * d1 + c2 * d2 + c3 * d3), den)
-        for num, den, (c0, c1, c2, c3) in CLOSED_FORMS[d].coefficients
-    ])
+def _integer_cubic(d: int, d1: int, d2: int, d3: int) -> list[int]:
+    """G = CUBIC_SCALE * F, constant first."""
+    return [CUBIC_SCALE // den * num * (c0 + c1 * d1 + c2 * d2 + c3 * d3)
+            for num, den, (c0, c1, c2, c3) in CLOSED_FORMS[d].coefficients]
 
 
-def _nonneg_clause(cubic: RatPoly, disc: Fraction) -> str | None:
-    """The clause under which every root of the cubic
-    A u^3 + B u^2 + C u + D (A > 0, discriminant disc) is real and >= 0,
-    or None: "1" for u^3, "2" for B < 0 = C = D, "2b" for D = 0 < C (the
-    class the textbook clause list misses) and "3" for D < 0."""
-    d0, c1, b2 = (cubic.coefficient(k) for k in range(3))
+def _nonneg_clause(cubic: list[int], disc: int) -> str | None:
+    """The clause under which every root of the integer cubic
+    A u^3 + B u^2 + C u + D (constant first, A > 0, discriminant disc) is
+    real and >= 0, or None: "1" for u^3, "2" for B < 0 = C = D, "2b" for
+    D = 0 < C (the class the textbook clause list misses), "3" for D < 0."""
+    d0, c1, b2 = cubic[:3]
     if disc < 0 or b2 > 0 or c1 < 0 or d0 > 0:
         return None
     if d0 != 0:
@@ -191,13 +194,12 @@ def _nonneg_clause(cubic: RatPoly, disc: Fraction) -> str | None:
 def _classify_cubic(d: int, d1: int, d2: int, d3: int) -> LowDimClassification:
     if min(d1, d2, d3) < 1:
         raise ValueError("delta entries must be >= 1")
-    cubic = _cubic(d, d1, d2, d3)
-    mirror = -cubic.reflect()  # -F(-u): the roots negated, A > 0 kept
-    disc = discriminant(cubic)
-    mixed = (disc >= 0 and descartes_positive_bound(cubic) > 0
-             and descartes_positive_bound(mirror) > 0)
+    cubic = _integer_cubic(d, d1, d2, d3)
+    mirror = [-cubic[0], cubic[1], -cubic[2], cubic[3]]  # -G(-u), A > 0 kept
+    disc = integer_discriminant(cubic)
+    mixed = disc >= 0 and sign_changes(cubic) > 0 and sign_changes(mirror) > 0
     return _result(d, _nonneg_clause(cubic, disc), _nonneg_clause(mirror, disc),
-                   mixed, disc)
+                   mixed, Fraction(disc, CUBIC_SCALE ** 4))
 
 
 def classify_dim2(d1: int) -> LowDimClassification:
@@ -229,12 +231,16 @@ def dim4_discriminant(d1: int, d2: int) -> Fraction:
     return _quadratic_discriminant(CLOSED_FORMS[4], d1, d2)
 
 
+def _rational_cubic(d: int, d1: int, d2: int, d3: int) -> RatPoly:
+    return RatPoly([Fraction(g, CUBIC_SCALE) for g in _integer_cubic(d, d1, d2, d3)])
+
+
 def dim6_cubic(d1: int, d2: int, d3: int) -> RatPoly:
-    return _cubic(6, d1, d2, d3)
+    return _rational_cubic(6, d1, d2, d3)
 
 
 def dim7_cubic(d1: int, d2: int, d3: int) -> RatPoly:
-    return _cubic(7, d1, d2, d3)
+    return _rational_cubic(7, d1, d2, d3)
 
 
 def cubic_roots_nonneg(cubic: RatPoly) -> bool:
@@ -242,7 +248,8 @@ def cubic_roots_nonneg(cubic: RatPoly) -> bool:
     all roots real and >= 0 iff Disc >= 0, B <= 0, C >= 0, D <= 0."""
     if cubic.coefficient(3) <= 0:
         raise ValueError("leading coefficient must be positive")
-    return _nonneg_clause(cubic, discriminant(cubic)) is not None
+    ints = cubic.integer_form()[1]
+    return _nonneg_clause(ints, integer_discriminant(ints)) is not None
 
 
 def cubic_roots_nonneg_textbook(cubic: RatPoly) -> bool:
@@ -359,13 +366,16 @@ def region_rows(d: int, r1: range, r2: range | None = None,
     row-major; used by the `regions` CLI command."""
     if d not in CLOSED_FORMS:
         raise ValueError("regions cover dimensions 2..7 only")
-    ranges = (r1, r2, r3)[:d // 2]
-    if d // 2 == 2 and r2 is None:
+    ranges, k = (r1, r2, r3), d // 2
+    if k == 2 and r2 is None:
         raise ValueError("dimension 4 or 5 needs a delta_2 range")
-    if d // 2 == 3 and None in (r2, r3):
+    if k == 3 and None in (r2, r3):
         raise ValueError("dimension 6 or 7 needs delta_2 and delta_3 ranges")
+    for j, surplus in enumerate(ranges[k:], start=k + 1):
+        if surplus is not None:
+            raise ValueError(f"dimension {d} takes no delta_{j} range")
     classify_point = _classifier(d)
-    for point in product(*ranges):
+    for point in product(*ranges[:k]):
         yield point, classify_point(*point)
 
 

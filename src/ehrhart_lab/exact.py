@@ -7,8 +7,8 @@ strip verdicts, lattice indices, box points) bottoms out in the routines
 here.  `RatPoly` (over `fractions.Fraction`) is the type at the API
 boundary; underneath, Sturm counts, gcds, square-free decompositions and
 the half-plane counter share one integer remainder chain on primitive
-integer polynomials, and resultants and discriminants are Bareiss
-determinants of integer Sylvester matrices.
+integer polynomials; resultants, and discriminants above the cubic, are
+Bareiss determinants of integer Sylvester matrices.
 """
 
 from __future__ import annotations
@@ -331,8 +331,9 @@ def _sign(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-def _sign_changes(signs: Sequence[int]) -> int:
-    nz = [s for s in signs if s != 0]
+def sign_changes(values: Sequence) -> int:
+    """Sign changes of a sequence of numbers (or signs), zeros skipped."""
+    nz = [v > 0 for v in values if v]
     return sum(1 for a, b in zip(nz, nz[1:]) if a != b)
 
 
@@ -356,7 +357,7 @@ def _signs_at(chain: Sequence[Sequence[int]], x) -> list[int]:
 
 def _variations(chain: Sequence[Sequence[int]], lo=NEG_INF, hi=POS_INF) -> int:
     """Sign variations of the chain at lo minus those at hi."""
-    return _sign_changes(_signs_at(chain, lo)) - _sign_changes(_signs_at(chain, hi))
+    return sign_changes(_signs_at(chain, lo)) - sign_changes(_signs_at(chain, hi))
 
 
 def _primitive(f: list[int]) -> list[int]:
@@ -460,7 +461,7 @@ def descartes_positive_bound(p: RatPoly) -> int:
     of the coefficient sequence)."""
     if p.is_zero:
         raise ValueError("zero polynomial")
-    return _sign_changes([_sign(c) for c in p.coeffs])
+    return sign_changes(p.coeffs)
 
 
 def all_roots_real_nonneg(p: RatPoly) -> bool:
@@ -549,16 +550,30 @@ def resultant(p: RatPoly, q: RatPoly) -> Fraction:
     return Fraction(_sylvester_det(P, Q), dp ** m * dq ** n)
 
 
-def discriminant(p: RatPoly) -> Fraction:
-    """Disc(p) = (-1)^{n(n-1)/2} Res(p, p') / lead(p), taken on the
-    integer P = den p: Disc(p) = Disc(P) / den^(2n-2)."""
-    n = p.degree
-    if n < 1:
+def integer_discriminant(P: Sequence[int]) -> int:
+    """Disc(P) of an integer polynomial of degree n >= 1, constant first:
+    the classical closed forms for the quadratic and the cubic, otherwise
+    (-1)^{n(n-1)/2} Res(P, P') / lead(P) by the Sylvester determinant."""
+    n = len(P) - 1
+    if n < 1 or not P[-1]:
         raise ValueError("discriminant needs degree >= 1")
+    if n == 2:
+        return P[1] ** 2 - 4 * P[0] * P[2]
+    if n == 3:
+        d, c, b, a = P
+        return (b * b * c * c - 4 * a * c ** 3 - 4 * b ** 3 * d
+                - 27 * a * a * d * d + 18 * a * b * c * d)
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * _sylvester_det(P, _derivative(P)) // P[-1]
+
+
+def discriminant(p: RatPoly) -> Fraction:
+    """Disc(p), taken on the integer P = den p:
+    Disc(p) = Disc(P) / den^(2n-2)."""
+    if p.degree < 1:
+        raise ValueError("discriminant needs degree >= 1")
     den, P = p.integer_form()
-    disc = sign * _sylvester_det(P, _derivative(P)) // P[-1]
-    return Fraction(disc, den ** (2 * n - 2))
+    return Fraction(integer_discriminant(P), den ** (2 * p.degree - 2))
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,11 @@
 reflexive simplices, and small matrix helpers."""
 
 import random
+from fractions import Fraction
 
+from ehrhart_lab.criteria import LowDimClassification, dim6_cubic, dim7_cubic
 from ehrhart_lab.delta import DeltaVector, validate_delta
+from ehrhart_lab.exact import _derivative, _sylvester_det, descartes_positive_bound
 from ehrhart_lab.lattice import LatticeSimplex
 from ehrhart_lab.wps import WeightSystem, enumerate_weights, simplex_from_weights
 
@@ -66,3 +69,38 @@ def fraction_remainder_chain(f0, f1):
     if chain[-1].is_zero:
         chain.pop()
     return chain
+
+
+def _rational_nonneg_clause(cubic, disc):
+    """The complete clause list read off `Fraction` coefficients."""
+    d0, c1, b2 = (cubic.coefficient(k) for k in range(3))
+    if disc < 0 or b2 > 0 or c1 < 0 or d0 > 0:
+        return None
+    if d0 != 0:
+        return "3"
+    if c1 != 0:
+        return "2b"
+    return "2" if b2 != 0 else "1"
+
+
+def rational_cubic_classification(d: int, d1: int, d2: int, d3: int
+                                  ) -> LowDimClassification:
+    """Reference d = 6, 7 verdict decided on `RatPoly`: F from `dim6_cubic`
+    or `dim7_cubic`, Disc(F) = -Res(P, P') / (lead(P) den^4) from the
+    Sylvester determinant of P = den F, the clause list on F and -F(-u),
+    and the Descartes counts of both.  The classifier decides on the
+    integer cubic 64 F instead and must agree field for field."""
+    cubic = (dim6_cubic if d == 6 else dim7_cubic)(d1, d2, d3)
+    mirror = -cubic.reflect()
+    den, P = cubic.integer_form()
+    disc = Fraction(-_sylvester_det(P, _derivative(P)) // P[-1], den ** 4)
+    cl = _rational_nonneg_clause(cubic, disc)
+    real = _rational_nonneg_clause(mirror, disc)
+    mixed = (disc >= 0 and descartes_positive_bound(cubic) > 0
+             and descartes_positive_bound(mirror) > 0)
+    parts = ([f"dim{d}-cl({cl})"] if cl else []) + (
+        [f"dim{d}-real({real})"] if real else [])
+    if not parts:
+        parts = [f"dim{d}-" + ("mixed" if mixed else "quartet" if disc < 0 else "none")]
+    return LowDimClassification(d, cl is not None, real is not None, mixed,
+                                ";".join(parts), disc)

@@ -71,6 +71,8 @@ def test_classify_usage_errors():
     ("regions", "-d", "4", "--d1", "5..1", "--d2", "1..2"),
     ("cube-delta", "-d", "0"),
     ("scan-weights", "-d", "0", "--delta-sum", "6"),
+    ("regions", "-d", "3", "--d1", "5..6", "--d2", "1..2"),
+    ("regions", "-d", "4", "--d1", "3..3", "--d2", "1..1", "--d3", "1..1"),
 ])
 def test_input_errors_print_one_line(argv):
     code, out, err = run_cli(*argv)

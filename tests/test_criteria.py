@@ -1,7 +1,8 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
-from helpers import random_palindromic
+from helpers import random_palindromic, rational_cubic_classification
 
 from ehrhart_lab.criteria import (
     classify,
@@ -373,3 +374,34 @@ def test_mixed_matches_sympy_roots():
         signs = {sympy.sign(r) for r in sympy.real_roots(poly)}
         c = classify(delta_for_pair(d, d1, d2, d3))
         assert c.mixed == ({1, -1} <= signs), (d, d1, d2, d3)
+
+
+# the entry ranges of the benchmark's cubic sweep boxes
+SWEEP_RANGES = {
+    6: ((1, 800), (1, 12000), (1, 25000)),
+    7: ((1, 2500), (1, 65000), (1, 270000)),
+}
+
+
+def test_integer_cubic_matches_rational_reference(rng):
+    # 4x4x4 boxes at 160 seeded origins per dimension (20,480 points) plus
+    # the oracle grid: cube vectors, disc = 0, constant-term-zero cubics
+    # (the "2b" class) and C = D = 0
+    points = mixed_oracle_grid()
+    for _ in range(160):
+        for d, ranges in SWEEP_RANGES.items():
+            a, b, c = (rng.randint(lo, hi - 3) for lo, hi in ranges)
+            points += [(d, a + i, b + j, c + k) for i in range(4)
+                       for j in range(4) for k in range(4)]
+    seen = Counter()
+    for d, d1, d2, d3 in points:
+        got = classify(delta_for_pair(d, d1, d2, d3))
+        assert got == rational_cubic_classification(d, d1, d2, d3), (d, d1, d2, d3)
+        assert type(got.discriminant_value) is Fraction
+        cubic = (dim6_cubic if d == 6 else dim7_cubic)(d1, d2, d3)
+        seen["C = D = 0"] += cubic.coefficient(1) == cubic.coefficient(0) == 0
+        seen["disc = 0"] += got.discriminant_value == 0
+        for label in ("cl(1)", "cl(2b)", "cl(3)", "real(3)", "mixed", "quartet"):
+            seen[label] += label in got.case_label
+    assert len(points) >= 20000
+    assert min(seen.values()) > 0 and len(seen) == 8, seen

@@ -11,9 +11,12 @@ from ehrhart_lab.exact import (
     NEG_INF,
     POS_INF,
     RatPoly,
+    _derivative,
     _int_chain,
     _signs_at,
+    _sylvester_det,
     discriminant,
+    integer_discriminant,
     sturm_distinct_real_roots,
 )
 
@@ -119,3 +122,68 @@ def test_discriminant_against_sympy(rng):
         for p in polys:
             ref = sympy.discriminant(_sympy_poly(p))
             assert discriminant(p) == _fraction(ref), p
+
+
+def _sylvester_discriminant(P: list[int]) -> int:
+    """Reference Disc(P) = (-1)^{n(n-1)/2} Res(P, P') / lead(P), the
+    resultant a Bareiss determinant of the Sylvester matrix."""
+    n = len(P) - 1
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * _sylvester_det(P, _derivative(P)) // P[-1]
+
+
+def _random_int_poly(rng, degree: int) -> list[int]:
+    return [rng.randint(-60, 60) for _ in range(degree)] + [
+        rng.choice([-1, 1]) * rng.randint(1, 40)]
+
+
+def _times(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_integer_discriminant_closed_forms_match_sylvester(rng):
+    for n in (1, 2, 3):
+        for _ in range(400):
+            P = _random_int_poly(rng, n)
+            assert integer_discriminant(P) == _sylvester_discriminant(P), P
+    for bad in ([], [3], [1, 2, 0]):
+        with pytest.raises(ValueError):
+            integer_discriminant(bad)
+
+
+def test_integer_discriminant_vanishes_on_repeated_roots(rng):
+    for _ in range(200):
+        lead = rng.choice([-1, 1]) * rng.randint(1, 9)
+        r, s = ([-rng.randint(-12, 12), rng.randint(1, 5)] for _ in range(2))
+        square = _times([lead], _times(r, r))      # a double root
+        cube = _times(square, r)                   # a triple root
+        assert integer_discriminant(square) == 0, square
+        assert integer_discriminant(cube) == 0, cube
+        assert integer_discriminant(_times(square, s)) == 0
+    # distinct real roots: Disc > 0; one real root and a complex pair: Disc < 0
+    assert integer_discriminant(_times(_times([-1, 1], [-2, 1]), [-3, 1])) == 4
+    assert integer_discriminant([1, 0, 0, 1]) == -27
+
+
+def test_integer_discriminant_against_sympy(rng):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for n in range(1, 13):
+        for _ in range(40 if n <= 3 else 4):
+            P = _random_int_poly(rng, n)
+            ref = sympy.discriminant(sympy.Poly(P[::-1], x, domain="ZZ"))
+            assert integer_discriminant(P) == int(ref), P
+
+
+def test_discriminant_against_sylvester_reference(rng):
+    for n in range(1, 13):
+        polys = [_random_poly(rng, n) for _ in range(6)]
+        polys += [p for p in (_planted(rng) for _ in range(6)) if p.degree == n]
+        for p in polys:
+            den, P = p.integer_form()
+            want = Fraction(_sylvester_discriminant(P), den ** (2 * n - 2))
+            assert discriminant(p) == want, p
