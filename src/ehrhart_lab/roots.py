@@ -3,10 +3,11 @@
 Two layers coexist on purpose:
 
 * a numerical layer (`find_roots`) — simultaneous Aberth iteration at
-  double precision, polished by exact rational Newton steps whose
-  iterates are capped at denominator 10^50; each step evaluates the
-  polynomial and its derivative by integer Horner on the homogenized
-  integer polynomial, and the radii are residual-based; and
+  double precision, polished by Newton steps on the dyadic grid
+  2^-192 (`_POLISH_BITS`); each step evaluates the polynomial and its
+  derivative by integer Horner on the homogenized integer polynomial and
+  rounds the step to the grid with one integer division per part, and
+  the radii are residual-based; and
 * an exact layer — the substitutions z = -1/2 + beta*i and z = -1/2 + alpha
   turn the critical-line and real-root questions for a palindromic vector
   into sign questions about a real polynomial in u = beta^2 (resp. alpha^2),
@@ -93,7 +94,7 @@ class HypothesisReport:
 _ABERTH_OFFSETS = (0.7390851332151607, 1.4142135623730951, 2.2360679774997896)
 _ABERTH_MAX_ITER = 400
 _POLISH_STEPS = 3
-_POLISH_DENOM_CAP = 10 ** 50
+_POLISH_BITS = 192
 _RADIUS_SAFETY = 10.0
 
 
@@ -190,68 +191,54 @@ def _homogeneous_eval(cs: list[int], a: int, b: int, q: int) -> tuple[int, int]:
     return ar, ai
 
 
-def _limit_denominator(n: int, d: int, cap: int) -> Fraction:
-    """Fraction(n, d).limit_denominator(cap) for d > 0, without reducing
-    n/d first: the continued-fraction quotients of n/d are those of its
-    reduced form (every remainder carries the same common factor), and an
-    expansion that ends within the cap gives n/d itself."""
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    den = d
-    while d:
-        a = n // d
-        q2 = q0 + a * q1
-        if q2 > cap:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        n, d = d, n - a * d
-    else:
-        return Fraction(p1, q1)
-    k = (cap - q0) // q1
-    # the input lies between p1/q1 and the semiconvergent (p0 + k p1) /
-    # (q0 + k q1), which are 1/(q1 (q0 + k q1)) apart; its distance from
-    # p1/q1 is d/(q1 den), d the last remainder.  Ties go to p1/q1.
-    if 2 * d * (q0 + k * q1) <= den:
-        return Fraction(p1, q1)
-    return Fraction(p0 + k * p1, q0 + k * q1)
+def _round_div(n: int, d: int) -> int:
+    """n/d rounded to the nearest integer, halves up, for d > 0."""
+    return (2 * n + d) // (2 * d)
 
 
-def _polish_root(den: int, P: list[int], z: complex, real_root: bool):
-    """Newton-polish z as a root of p = P/den (P integral, degree n).
+def _polish_root(P: list[int], z: complex, real_root: bool):
+    """Newton-polish z as a root of the integer polynomial P (degree n).
 
-    The iterate is z = (a + ib)/q over one denominator; with the
-    homogenized values H = q^n den p(z) and D = q^(n-1) den p'(z) the step
-    is p(z)/p'(z) = H conj(D) / (|D|^2 q), the exact rational Newton step,
-    after which each part is capped at denominator _POLISH_DENOM_CAP."""
+    The iterate lives on the dyadic grid z = (a + ib)/q, q = 2^_POLISH_BITS,
+    and starts at the grid point nearest the double z.  With the
+    homogenized values H = q^n P(z) and D = q^(n-1) P'(z) the Newton step
+    P(z)/P'(z) is H conj(D) / (|D|^2 q), which is H conj(D) / |D|^2 grid
+    units: each part of the step is one rounded integer division.  The
+    floats returned are a/q and b/q, correctly rounded."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NumericalFailure("non-finite iterate reached the polishing stage")
-    n = len(P) - 1
     dP = [k * c for k, c in enumerate(P)][1:]
-    re = Fraction(z.real)
-    im = Fraction(0) if real_root else Fraction(z.imag)
+    q = 1 << _POLISH_BITS
+
+    def to_grid(x: float) -> int:
+        num, dyadic_den = x.as_integer_ratio()
+        return _round_div(num << _POLISH_BITS, dyadic_den)
+
+    a = to_grid(z.real)
+    b = 0 if real_root else to_grid(z.imag)
 
     def at_iterate():
-        q = math.lcm(re.denominator, im.denominator)
-        a = re.numerator * (q // re.denominator)
-        b = im.numerator * (q // im.denominator)
-        return a, b, q, _homogeneous_eval(P, a, b, q), _homogeneous_eval(dP, a, b, q)
+        pr, pi = _homogeneous_eval(P, a, b, q)
+        dr, di = _homogeneous_eval(dP, a, b, q)
+        return pr, pi, dr, di, dr * dr + di * di
 
+    # with b = 0 and real P, pi = di = 0: a real iterate stays real
     for _ in range(_POLISH_STEPS):
-        a, b, q, (pr, pi), (dr, di) = at_iterate()
-        dn = dr * dr + di * di
+        pr, pi, dr, di, dn = at_iterate()
         if dn == 0:
             break
-        # z - p(z)/p'(z) = ((a + ib) dn - (pr + i pi)(dr - i di)) / (dn q)
-        nr, ni = a * dn - (pr * dr + pi * di), b * dn - (pi * dr - pr * di)
-        re = _limit_denominator(nr, dn * q, _POLISH_DENOM_CAP)
-        if not real_root:
-            im = _limit_denominator(ni, dn * q, _POLISH_DENOM_CAP)
-    _, _, q, (pr, pi), (dr, di) = at_iterate()
-    # int / int is correctly rounded, so these are float(p(z)), float(p'(z))
-    pscale, dscale = den * q ** n, den * q ** (n - 1)
-    resid = math.hypot(pr / pscale, pi / pscale)
-    dmag = math.hypot(dr / dscale, di / dscale)
-    radius = _RADIUS_SAFETY * resid / dmag if dmag > 0 else math.inf
-    return float(re), float(im), radius
+        a -= _round_div(pr * dr + pi * di, dn)
+        b -= _round_div(pi * dr - pr * di, dn)
+    pr, pi, _, _, dn = at_iterate()
+    # |P(z)|/|P'(z)| = |H| / (|D| q); the square roots of the squared
+    # moduli, taken on integers widened by 2^128, keep 64 bits each and
+    # never pass through an out-of-range float
+    radius = math.inf
+    if dn:
+        radius = _RADIUS_SAFETY * (
+            math.isqrt((pr * pr + pi * pi) << 128) / (math.isqrt(dn << 128) << _POLISH_BITS)
+        )
+    return a / q, b / q, radius
 
 
 def _solve_squarefree(factor: RatPoly) -> list[tuple[float, float, float]]:
@@ -264,9 +251,9 @@ def _solve_squarefree(factor: RatPoly) -> list[tuple[float, float, float]]:
     n_real = sturm_distinct_real_roots(factor, NEG_INF, POS_INF)
     order = sorted(range(n), key=lambda k: abs(approx[k].imag))
     real_idx = set(order[:n_real])
-    den, ints = factor.integer_form()
+    ints = factor.integer_form()[1]
     polished = [
-        _polish_root(den, ints, approx[k], real_root=(k in real_idx))
+        _polish_root(ints, approx[k], real_root=(k in real_idx))
         for k in range(n)
     ]
     # enforce conjugate symmetry on the nonreal part

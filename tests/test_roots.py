@@ -14,8 +14,9 @@ from ehrhart_lab.roots import (
     HOLDS_EXACT,
     HYPOTHESES,
     RequiresReflexiveError,
+    _POLISH_BITS,
     _homogeneous_eval,
-    _limit_denominator,
+    _polish_root,
     braun_disc_check,
     critical_line_polynomial,
     find_roots,
@@ -439,22 +440,71 @@ def test_homogeneous_eval_matches_fraction_horner(rng):
             dp.coeffs, re, im)
 
 
-def test_limit_denominator_matches_fraction(rng):
-    # every small fraction and cap, ties between the two candidates included
-    for n in range(-40, 41):
-        for d in range(1, 13):
-            for cap in range(1, 8):
-                g = rng.randint(1, 50)
-                assert _limit_denominator(n * g, d * g, cap) == Fraction(
-                    n, d).limit_denominator(cap)
-    # unreduced polish-sized inputs, over and under the 10^50 cap
-    for _ in range(3000):
-        g = rng.randint(1, 10 ** rng.randint(0, 40))
-        n = rng.randint(-10 ** rng.randint(1, 120), 10 ** rng.randint(1, 120))
-        d = rng.randint(1, 10 ** rng.randint(1, 120))
-        cap = rng.choice([10 ** 50, 10 ** rng.randint(0, 60)])
-        assert _limit_denominator(n * g, d * g, cap) == Fraction(
-            n, d).limit_denominator(cap)
+def test_homogeneous_eval_on_dyadic_grid(rng):
+    # q = 2^K, the grid of the polish, K = _POLISH_BITS included
+    for _ in range(150):
+        n = rng.randint(1, 24)
+        P = [rng.randint(-10 ** 12, 10 ** 12) for _ in range(n)] + [rng.randint(1, 10 ** 6)]
+        K = rng.choice([0, 1, 53, _POLISH_BITS, 2 * _POLISH_BITS])
+        q = 1 << K
+        a, b = (rng.randint(-(100 << K), 100 << K) for _ in range(2))
+        if rng.random() < 0.3:
+            b = 0
+        pr, pi = _homogeneous_eval(P, a, b, q)
+        assert (Fraction(pr, q ** n), Fraction(pi, q ** n)) == _cx_eval(
+            P, Fraction(a, q), Fraction(b, q))
+
+
+def test_polish_root_from_huge_iterate():
+    # a finite start of magnitude 1e300 must neither overflow nor leave
+    # the finite floats, whatever p(z) is on the way
+    _, P = ehrhart_polynomial(validate_delta([1, 7, 1])).integer_form()
+    for z, real_root in [(complex(1e300, 0.0), True), (complex(-1e300, 1e300), False),
+                         (complex(1.7e308, -1.7e308), False)]:
+        re, im, radius = _polish_root(P, z, real_root)
+        assert all(math.isfinite(x) for x in (re, im, radius))
+        assert abs(re) > 1e290 and radius > 0
+        assert im == 0.0 if real_root else abs(im) > 1e290
+
+
+def _nearest_double(x) -> float:
+    """An mpmath real rounded to the nearest double (float(x) truncates)."""
+    man, exp = x.man_exp  # of |x|
+    return math.copysign(float(Fraction(man) * Fraction(2) ** exp), x)
+
+
+def test_find_roots_are_correctly_rounded(rng):
+    # every root from find_roots is the nearest double to a true root,
+    # computed by mpmath Newton at 80 digits; the refined roots are
+    # pairwise distinct, so they are all roots of the square-free input
+    mpmath = pytest.importorskip("mpmath")
+    checked = 0
+    for _ in range(100):
+        dv = random_palindromic(rng, rng.randint(2, 24))
+        poly = ehrhart_polynomial(dv)
+        rs = find_roots(poly)
+        if any(r.multiplicity > 1 for r in rs.roots):
+            continue
+        _, P = poly.integer_form()
+        with mpmath.workdps(80):
+            exact = []
+            for r in rs.roots:
+                z = mpmath.mpc(r.re, r.im)
+                for _ in range(60):
+                    val, slope = mpmath.polyval(P[::-1], z, derivative=True)
+                    step = val / slope
+                    z -= step
+                    if abs(step) <= mpmath.mpf(10) ** -78 * (1 + abs(z)):
+                        break
+                else:
+                    raise AssertionError(f"mpmath Newton did not converge on {dv.entries}")
+                exact.append(z)
+                assert (r.re, r.im) == (_nearest_double(z.real), _nearest_double(z.imag)), (
+                    dv.entries, r)
+            gap = min(abs(u - w) for k, u in enumerate(exact) for w in exact[:k])
+            assert gap > mpmath.mpf(10) ** -40
+        checked += 1
+    assert checked >= 90
 
 
 # `roots --format csv` pinned byte for byte, error radii included
@@ -462,16 +512,16 @@ ROOTS_CSV_GOLDEN = {
     "1,1,1,1,9,28,9,1,1,1,1": """\
 # ehrhart-lab v1
 re,im,multiplicity,error_radius
--5.217307718017448,-6.850485461165033,1,1.8093255154101686e-99
--5.217307718017448,6.850485461165033,1,1.8093255154101686e-99
--0.5,-3.39402662569667,1,1.9451794476656776e-100
--0.5,-1.651913755345573,1,4.641524085892141e-100
--0.5,-0.38658286903215794,1,1.2863302659955322e-99
--0.5,0.38658286903215794,1,1.2863302659955322e-99
--0.5,1.651913755345573,1,4.641524085892141e-100
--0.5,3.39402662569667,1,1.9451794476656776e-100
-4.217307718017448,-6.850485461165033,1,1.8093255154101686e-99
-4.217307718017448,6.850485461165033,1,1.8093255154101686e-99
+-5.217307718017448,-6.850485461165033,1,6.669013350672896e-58
+-5.217307718017448,6.850485461165033,1,6.669013350672896e-58
+-0.5,-3.39402662569667,1,2.1464232975424947e-58
+-0.5,-1.651913755345573,1,7.805645049821542e-58
+-0.5,-0.38658286903215794,1,9.350844743526378e-59
+-0.5,0.38658286903215794,1,9.350844743526378e-59
+-0.5,1.651913755345573,1,7.805645049821542e-58
+-0.5,3.39402662569667,1,2.1464232975424947e-58
+4.217307718017448,-6.850485461165033,1,6.669013350672896e-58
+4.217307718017448,6.850485461165033,1,6.669013350672896e-58
 """,
     "1,76,230,76,1": """\
 # ehrhart-lab v1
@@ -482,22 +532,22 @@ re,im,multiplicity,error_radius
     "1,1481,1922,1969,1168,1708,929,1830,24,1830,929,1708,1168,1969,1922,1481,1": """\
 # ehrhart-lab v1
 re,im,multiplicity,error_radius
--0.9890340155103562,0.0,1,1.9312894391969205e-100
--0.5,-43.05506445202225,1,9.937994115427697e-100
--0.5,-17.942610991848905,1,1.0842740197533272e-100
--0.5,-10.403768388488665,1,1.4451099639410796e-100
--0.5,-6.316163984385651,1,5.030170680115656e-99
--0.5,-3.7472623658718955,1,5.812168407597093e-100
--0.5,-1.9307340165392097,1,1.8297996193578246e-99
--0.5,-0.584668810269295,1,2.2067526244290562e-100
--0.5,0.584668810269295,1,2.2067526244290562e-100
--0.5,1.9307340165392097,1,1.8297996193578246e-99
--0.5,3.7472623658718955,1,5.812168407597093e-100
--0.5,6.316163984385651,1,5.030170680115656e-99
--0.5,10.403768388488665,1,1.4451099639410796e-100
--0.5,17.942610991848905,1,1.0842740197533272e-100
--0.5,43.05506445202225,1,9.937994115427697e-100
--0.010965984489643756,0.0,1,1.9312894391969205e-100
+-0.9890340155103562,0.0,1,2.6566864753855024e-58
+-0.5,-43.05506445202225,1,2.939541553773925e-58
+-0.5,-17.942610991848905,1,2.830925809395264e-58
+-0.5,-10.403768388488665,1,2.515774277965113e-58
+-0.5,-6.316163984385651,1,5.2924742800077155e-58
+-0.5,-3.7472623658718955,1,4.791354204906128e-58
+-0.5,-1.9307340165392097,1,6.346069209263547e-58
+-0.5,-0.584668810269295,1,5.76601718182765e-58
+-0.5,0.584668810269295,1,5.76601718182765e-58
+-0.5,1.9307340165392097,1,6.346069209263547e-58
+-0.5,3.7472623658718955,1,4.791354204906128e-58
+-0.5,6.316163984385651,1,5.2924742800077155e-58
+-0.5,10.403768388488665,1,2.515774277965113e-58
+-0.5,17.942610991848905,1,2.830925809395264e-58
+-0.5,43.05506445202225,1,2.939541553773925e-58
+-0.010965984489643756,0.0,1,2.6566864753855024e-58
 """,
 }
 
