@@ -7,17 +7,20 @@ Two layers coexist on purpose:
   2^-192 (`_POLISH_BITS`); each step evaluates the polynomial and its
   derivative by integer Horner on the homogenized integer polynomial and
   rounds the step to the grid with one integer division per part, and
-  the radii are residual-based; and
+  the radii are residual-based; a polynomial symmetric about Re z = -1/2,
+  as every palindromic vector's is, is solved at half degree through
+  p(w - 1/2) = w^parity E(w^2) and z = -1/2 +- sqrt(u) for the roots u of E;
+  and
 * an exact layer — the substitutions z = -1/2 + beta*i and z = -1/2 + alpha
   turn the critical-line and real-root questions for a palindromic vector
   into sign questions about a real polynomial in u = beta^2 (resp. alpha^2),
   which Sturm counts decide exactly in any dimension.
 
 Strip verdicts are exact too: an exact half-plane count on the
-polynomial shifted to each bound.  The numerical roots only supply the
-witnesses reported next to failing verdicts.
+polynomial shifted to each bound (one count per strip for a palindromic
+vector, whose nested strips need two or three decisions).  The numerical
+roots only supply the witnesses reported next to failing verdicts.
 """
-
 from __future__ import annotations
 
 import cmath
@@ -32,6 +35,7 @@ from .exact import (
     POS_INF,
     RatPoly,
     all_roots_real_nonneg,
+    _derivative,
     halfplane_counts,
     sturm_distinct_real_roots,
 )
@@ -196,18 +200,18 @@ def _round_div(n: int, d: int) -> int:
     return (2 * n + d) // (2 * d)
 
 
-def _polish_root(P: list[int], z: complex, real_root: bool):
+def _newton_on_grid(P: list[int], z: complex, real_root: bool) -> tuple[int, int]:
     """Newton-polish z as a root of the integer polynomial P (degree n).
 
     The iterate lives on the dyadic grid z = (a + ib)/q, q = 2^_POLISH_BITS,
     and starts at the grid point nearest the double z.  With the
     homogenized values H = q^n P(z) and D = q^(n-1) P'(z) the Newton step
     P(z)/P'(z) is H conj(D) / (|D|^2 q), which is H conj(D) / |D|^2 grid
-    units: each part of the step is one rounded integer division.  The
-    floats returned are a/q and b/q, correctly rounded."""
+    units: each part of the step is one rounded integer division.  Returns
+    the final (a, b)."""
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise NumericalFailure("non-finite iterate reached the polishing stage")
-    dP = [k * c for k, c in enumerate(P)][1:]
+    dP = _derivative(P)
     q = 1 << _POLISH_BITS
 
     def to_grid(x: float) -> int:
@@ -216,57 +220,99 @@ def _polish_root(P: list[int], z: complex, real_root: bool):
 
     a = to_grid(z.real)
     b = 0 if real_root else to_grid(z.imag)
-
-    def at_iterate():
-        pr, pi = _homogeneous_eval(P, a, b, q)
-        dr, di = _homogeneous_eval(dP, a, b, q)
-        return pr, pi, dr, di, dr * dr + di * di
-
     # with b = 0 and real P, pi = di = 0: a real iterate stays real
     for _ in range(_POLISH_STEPS):
-        pr, pi, dr, di, dn = at_iterate()
+        pr, pi = _homogeneous_eval(P, a, b, q)
+        dr, di = _homogeneous_eval(dP, a, b, q)
+        dn = dr * dr + di * di
         if dn == 0:
             break
         a -= _round_div(pr * dr + pi * di, dn)
         b -= _round_div(pi * dr - pr * di, dn)
-    pr, pi, _, _, dn = at_iterate()
-    # |P(z)|/|P'(z)| = |H| / (|D| q); the square roots of the squared
-    # moduli, taken on integers widened by 2^128, keep 64 bits each and
-    # never pass through an out-of-range float
-    radius = math.inf
-    if dn:
-        radius = _RADIUS_SAFETY * (
-            math.isqrt((pr * pr + pi * pi) << 128) / (math.isqrt(dn << 128) << _POLISH_BITS)
-        )
-    return a / q, b / q, radius
+    return a, b
+
+
+def _residual_radius(value_sq: int, slope_sq: int) -> float:
+    """10 sqrt(value_sq / slope_sq) / 2^_POLISH_BITS; the square roots, of
+    integers widened by 2^128, keep 64 bits and never leave float range."""
+    if not slope_sq:
+        return math.inf
+    return _RADIUS_SAFETY * (
+        math.isqrt(value_sq << 128) / (math.isqrt(slope_sq << 128) << _POLISH_BITS))
+
+
+def _polish_root(P: list[int], z: complex, real_root: bool):
+    """`_newton_on_grid` as the correctly rounded floats a/q and b/q, with
+    the radius 10 |P(z)|/|P'(z)| = 10 |H| / (|D| q) at the final iterate."""
+    a, b = _newton_on_grid(P, z, real_root)
+    q = 1 << _POLISH_BITS
+    pr, pi = _homogeneous_eval(P, a, b, q)
+    dr, di = _homogeneous_eval(_derivative(P), a, b, q)
+    return a / q, b / q, _residual_radius(pr * pr + pi * pi, dr * dr + di * di)
+
+
+def _upper_roots(f: RatPoly) -> list[tuple[complex, bool]]:
+    """Aberth approximations, flagged real or not, of the real roots of a
+    square-free f of degree >= 2 and of the upper root of each conjugate
+    pair; an exact Sturm count fixes how many are real."""
+    approx = sorted(_aberth_roots(f), key=lambda z: abs(z.imag))
+    n_real = sturm_distinct_real_roots(f, NEG_INF, POS_INF)
+    upper = sorted(approx[n_real:], key=lambda z: -z.imag)
+    return ([(z, True) for z in approx[:n_real]]
+            + [(z, False) for z in upper[:len(upper) // 2]])
 
 
 def _solve_squarefree(factor: RatPoly) -> list[tuple[float, float, float]]:
-    """Roots of a square-free rational polynomial as (re, im, radius)."""
-    n = factor.degree
-    if n == 1:
+    """Roots of a square-free rational polynomial as (re, im, radius); each
+    conjugate pair is the polished upper root and its mirror image."""
+    if factor.degree == 1:
         r = -factor.coeffs[0] / factor.coeffs[1]
         return [(float(r), 0.0, 1e-15 * (1.0 + abs(float(r))))]
-    approx = _aberth_roots(factor)
-    n_real = sturm_distinct_real_roots(factor, NEG_INF, POS_INF)
-    order = sorted(range(n), key=lambda k: abs(approx[k].imag))
-    real_idx = set(order[:n_real])
     ints = factor.integer_form()[1]
-    polished = [
-        _polish_root(ints, approx[k], real_root=(k in real_idx))
-        for k in range(n)
-    ]
-    # enforce conjugate symmetry on the nonreal part
-    out = [polished[k] for k in range(n) if k in real_idx]
-    nonreal = [polished[k] for k in range(n) if k not in real_idx]
-    upper = sorted((r for r in nonreal if r[1] > 0), key=lambda r: (r[0], r[1]))
-    lower = sorted((r for r in nonreal if r[1] <= 0), key=lambda r: (r[0], -r[1]))
-    for up, lo in zip(upper, lower):
-        re = 0.5 * (up[0] + lo[0])
-        im = 0.5 * (up[1] - lo[1])
-        rad = max(up[2], lo[2]) + abs(up[0] - lo[0]) + abs(up[1] + lo[1])
-        out.append((re, im, rad))
-        out.append((re, -im, rad))
+    out = []
+    for z, real in _upper_roots(factor):
+        re, im, rad = _polish_root(ints, z, real)
+        out += [(re, im, rad)] if real else [(re, im, rad), (re, -im, rad)]
+    return out
+
+
+def _grid_sqrt(a: int, b: int) -> tuple[int, int]:
+    """(c, d), c >= 0, with (c + id)^2 = q (a + ib) = A + iB, q = 2^_POLISH_BITS:
+    the larger part sqrt((|A + iB| + |A|)/2), real for A >= 0, has no
+    cancellation, and the smaller part is B/2 over it."""
+    A, B = a << _POLISH_BITS, b << _POLISH_BITS
+    # round(sqrt(x)) = (isqrt(4x) + 1) // 2, here with x = (|A + iB| + |A|)/2
+    big = (math.isqrt(2 * (math.isqrt(A * A + B * B) + abs(A))) + 1) >> 1
+    small = _round_div(abs(B), 2 * big) if big else 0
+    sign = 1 if B >= 0 else -1
+    return (big, sign * small) if A >= 0 else (small, sign * big)
+
+
+def _mirror_roots(half: RatPoly, parity: int) -> list[ComplexRoot]:
+    """Roots of p from E = half, p(w - 1/2) = w^parity E(w^2).  A factor
+    u^m of E puts 2m + parity roots at -1/2.  Each real root u, and the
+    upper root of each conjugate pair, of a square-free factor f of the
+    rest gives the roots -1/2 +- sqrt(u) (and conjugates) of
+    g(z) = f((z + 1/2)^2), with radius 10 |g(z)|/|g'(z)| on the grid."""
+    q = 1 << _POLISH_BITS
+    m = next(k for k, c in enumerate(half.coeffs) if c)
+    centre = parity + 2 * m  # an exact root: radius 1e-15 (1 + |r|)
+    out = [ComplexRoot(-0.5, 0.0, centre, 1e-15 * (1.0 + 0.5))] if centre else []
+    for f, mult in RatPoly(half.coeffs[m:]).squarefree_decomposition():
+        F = f.integer_form()[1]
+        if f.degree == 1:
+            grid = [(_round_div(-F[0] << _POLISH_BITS, F[1]), 0)]
+        else:
+            grid = [_newton_on_grid(F, z, real) for z, real in _upper_roots(f)]
+        for a, b in grid:
+            c, d = _grid_sqrt(a, b)
+            vr, vi = c * c - d * d, 2 * c * d  # q^2 w^2
+            hr, hi = _homogeneous_eval(F, vr, vi, q * q)
+            sr, si = _homogeneous_eval(_derivative(F), vr, vi, q * q)
+            radius = _residual_radius(
+                hr * hr + hi * hi, 4 * (sr * sr + si * si) * (c * c + d * d))
+            out += [ComplexRoot((x - (q >> 1)) / q, y / q, mult, radius)
+                    for x in {c, -c} for y in {d, -d}]
     return out
 
 
@@ -277,14 +323,21 @@ def find_roots(p: RatPoly) -> RootSet:
     Multiplicities come from an exact square-free decomposition, so each
     numerical solve only ever sees simple roots; the number of real roots
     per factor is fixed by an exact Sturm count before any snapping to the
-    real axis.
+    real axis.  When p is symmetric about Re z = -1/2, as the counting
+    polynomial of every palindromic vector is, the solve runs on the half
+    polynomial E in u = (z + 1/2)^2, of half the degree.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    roots: list[ComplexRoot] = []
-    for factor, mult in p.squarefree_decomposition():
-        for re, im, rad in _solve_squarefree(factor):
-            roots.append(ComplexRoot(re, im, mult, rad))
+    half = _symmetric_half(p)
+    if half is not None:
+        roots = _mirror_roots(half, p.degree % 2)
+    else:
+        roots = [
+            ComplexRoot(re, im, mult, rad)
+            for factor, mult in p.squarefree_decomposition()
+            for re, im, rad in _solve_squarefree(factor)
+        ]
     roots.sort(key=lambda r: (r.re, r.im))
     rs = RootSet(tuple(roots), p.degree)
     assert sum(r.multiplicity for r in rs.roots) == p.degree
@@ -305,22 +358,25 @@ def root_sum_is_reflexive(p: RatPoly, d: int) -> bool:
 # Exact transforms for palindromic vectors
 # ----------------------------------------------------------------------
 
-def _symmetric_half(poly: RatPoly, d: int) -> RatPoly:
-    """Coefficients e_k with L(w - 1/2) = sum_k e_k w^(2k + parity), from
-    the counting polynomial L of a palindromic vector of dimension d; the
-    off-parity part must vanish."""
+def _symmetric_half(poly: RatPoly) -> RatPoly | None:
+    """Coefficients e_k with poly(w - 1/2) = sum_k e_k w^(2k + parity),
+    parity = deg poly mod 2, or None when poly is not symmetric about
+    Re z = -1/2.  Every palindromic vector's counting polynomial is."""
     shifted = poly.shift(Fraction(-1, 2))
-    parity = d % 2
-    for k, c in enumerate(shifted.coeffs):
-        if k % 2 != parity and c != 0:
-            raise AssertionError("symmetry failure on palindromic input")
+    parity = poly.degree % 2
+    if any(c for c in shifted.coeffs[1 - parity::2]):
+        return None
     return RatPoly(shifted.coeffs[parity::2])
 
 
-def _half_of(dv: DeltaVector) -> RatPoly:
+def _half_of(dv: DeltaVector) -> tuple[RatPoly, RatPoly]:
+    """(L, E) of a palindromic vector: L and its half polynomial."""
     if not dv.palindromic:
         raise RequiresReflexiveError("requires a palindromic delta-vector")
-    return _symmetric_half(ehrhart_polynomial(dv), dv.d)
+    poly = ehrhart_polynomial(dv)
+    half = _symmetric_half(poly)
+    assert half is not None, "symmetry failure on palindromic input"
+    return poly, half
 
 
 def critical_line_polynomial(dv: DeltaVector) -> RatPoly:
@@ -328,7 +384,7 @@ def critical_line_polynomial(dv: DeltaVector) -> RatPoly:
     correspond exactly to real roots u >= 0 of F (u = beta^2 where
     z = -1/2 + beta*i).  For odd d the forced root at -1/2 is removed.
     Normalized primitive with positive leading coefficient."""
-    return _half_of(dv).reflect().primitive()
+    return _half_of(dv)[1].reflect().primitive()
 
 
 def real_axis_polynomial(dv: DeltaVector) -> RatPoly:
@@ -336,7 +392,7 @@ def real_axis_polynomial(dv: DeltaVector) -> RatPoly:
     real roots u >= 0 of G (u = alpha^2 where z = -1/2 + alpha); the forced
     odd-dimension root at -1/2 is removed.  Same normalization as the
     critical-line polynomial."""
-    return _half_of(dv).primitive()
+    return _half_of(dv)[1].primitive()
 
 
 def is_cl_exact(dv: DeltaVector) -> bool:
@@ -360,27 +416,35 @@ def strip_verdict(
     (strict inequalities when strict=True).
 
     Exact for every input: one half-plane count on p(z + upper) and one on
-    p(lower - z) give the roots beyond each bound and the roots on it.  A
-    failing verdict carries the numerical root farthest outside the strip
-    as its witness, or the bound itself when a real root sits on it and
-    the strip is open.
+    p(lower - z) give the roots beyond each bound and the roots on it.  The
+    second is skipped when the first fails, or when it would repeat it:
+    p(lower - z) = +-p(upper + z), as for palindromic vectors' polynomials
+    on strips centred at -1/2.
     """
     if p.degree < 1:
         raise ValueError("need degree >= 1")
-    lo = Fraction(lower)
-    hi = Fraction(upper)
-    if strict:
-        for bound in (hi, lo):
-            if p(bound) == 0:
-                return HypothesisVerdict(FAILS_EXACT, (float(bound), 0.0))
-    right, on_hi = halfplane_counts(p.shift(hi))
-    left, on_lo = halfplane_counts(p.compose_linear(-1, lo))
-    if right == left == 0 and not (strict and (on_hi or on_lo)):
-        return HypothesisVerdict(HOLDS_EXACT)
+    lo, hi = Fraction(lower), Fraction(upper)
+    shifted = p.shift(hi)
+    right, on_hi = halfplane_counts(shifted)
+    holds = not (right or (strict and on_hi))
+    if holds:
+        mirror = p.compose_linear(-1, lo)
+        if mirror != shifted and mirror != -shifted:
+            left, on_lo = halfplane_counts(mirror)
+            holds = not (left or (strict and on_lo))
+    return HypothesisVerdict(HOLDS_EXACT) if holds else _failing_strip(p, lo, hi, strict)
+
+
+def _failing_strip(p: RatPoly, lo, hi, strict: bool) -> HypothesisVerdict:
+    """A failing strip's verdict.  Its witness is the bound itself when a
+    real root sits on it and the strip is open, else the numerical root
+    farthest outside the strip."""
+    for bound in (hi, lo) if strict else ():
+        if p(bound) == 0:
+            return HypothesisVerdict(FAILS_EXACT, (float(bound), 0.0))
     flo, fhi = float(lo), float(hi)
     return HypothesisVerdict(
-        FAILS_EXACT, _witness(p, lambda r: max(r.re - fhi, flo - r.re))
-    )
+        FAILS_EXACT, _witness(p, lambda r: max(r.re - fhi, flo - r.re)))
 
 
 # ----------------------------------------------------------------------
@@ -391,12 +455,11 @@ def hypothesis_report(dv: DeltaVector) -> HypothesisReport:
     """Verdicts for CL, Real, NCS, CS, HS, S on a palindromic vector.
 
     CL and Real are decided exactly through the u-substitution; the strip
-    hypotheses use exact rational bounds (CS strict, the others closed)."""
-    if not dv.palindromic:
-        raise RequiresReflexiveError("requires a palindromic delta-vector")
+    hypotheses use exact rational bounds (CS strict, the others closed).
+    For d >= 2 the strips are nested, NCS in CS in HS in S: deciding CS,
+    then NCS or HS (and S after HS fails) settles all four."""
+    poly, half = _half_of(dv)
     d = dv.d
-    poly = ehrhart_polynomial(dv)
-    half = _symmetric_half(poly, d)
     verdicts: dict[str, HypothesisVerdict] = {}
 
     cl = all_roots_real_nonneg(half.reflect().primitive())
@@ -409,14 +472,30 @@ def hypothesis_report(dv: DeltaVector) -> HypothesisReport:
         HOLDS_EXACT if real else FAILS_EXACT,
         None if real else _witness(poly, lambda r: abs(r.im)),
     )
-    verdicts["NCS"] = strip_verdict(
-        poly, Fraction(-d, d + 1), Fraction(-1, d + 1), strict=False
-    )
-    verdicts["CS"] = strip_verdict(poly, -1, 0, strict=True)
-    verdicts["HS"] = strip_verdict(
-        poly, Fraction(-d, 2), Fraction(d, 2) - 1, strict=False
-    )
-    verdicts["S"] = strip_verdict(poly, -d, d - 1, strict=False)
+    strips = {
+        "NCS": (Fraction(-d, d + 1), Fraction(-1, d + 1), False),
+        "CS": (Fraction(-1), Fraction(0), True),
+        "HS": (Fraction(-d, 2), Fraction(d, 2) - 1, False),
+        "S": (Fraction(-d), Fraction(d - 1), False),
+    }
+    decided: dict[str, HypothesisVerdict] = {}
+
+    def holds(name: str) -> bool:
+        decided[name] = strip_verdict(poly, *strips[name])
+        return decided[name].holds
+
+    if d == 1:  # the one vector (1, 1), whose strips are not nested
+        for name in strips:
+            holds(name)
+    elif holds("CS"):
+        holds("NCS")
+    elif not holds("HS"):
+        holds("S")
+    first = min((k for k, name in enumerate(strips)
+                 if name in decided and decided[name].holds), default=len(strips))
+    for k, (name, bounds) in enumerate(strips.items()):
+        verdicts[name] = decided.get(name) or (
+            HypothesisVerdict(HOLDS_EXACT) if k > first else _failing_strip(poly, *bounds))
     return HypothesisReport(dimension=d, verdicts=verdicts)
 
 

@@ -6,8 +6,14 @@ from fractions import Fraction
 
 from ehrhart_lab.criteria import LowDimClassification, dim6_cubic, dim7_cubic
 from ehrhart_lab.delta import DeltaVector, validate_delta
-from ehrhart_lab.exact import _derivative, _sylvester_det, descartes_positive_bound
+from ehrhart_lab.exact import (
+    _derivative,
+    _sylvester_det,
+    descartes_positive_bound,
+    halfplane_counts,
+)
 from ehrhart_lab.lattice import LatticeSimplex
+from ehrhart_lab.roots import FAILS_EXACT, HOLDS_EXACT, HypothesisVerdict, _witness
 from ehrhart_lab.wps import WeightSystem, enumerate_weights, simplex_from_weights
 
 
@@ -104,3 +110,23 @@ def rational_cubic_classification(d: int, d1: int, d2: int, d3: int
         parts = [f"dim{d}-" + ("mixed" if mixed else "quartet" if disc < 0 else "none")]
     return LowDimClassification(d, cl is not None, real is not None, mixed,
                                 ";".join(parts), disc)
+
+
+def two_count_strip_verdict(p, lower, upper, strict=False) -> HypothesisVerdict:
+    """Reference strip decision, as `roots.strip_verdict` made it before
+    the mirror shortcut: a real root on a bound of an open strip fails at
+    once with the bound as witness; otherwise one half-plane count on
+    p(z + upper) and one on p(lower - z), always both, and the root
+    farthest outside the strip as witness."""
+    lo, hi = Fraction(lower), Fraction(upper)
+    if strict:
+        for bound in (hi, lo):
+            if p(bound) == 0:
+                return HypothesisVerdict(FAILS_EXACT, (float(bound), 0.0))
+    right, on_hi = halfplane_counts(p.shift(hi))
+    left, on_lo = halfplane_counts(p.compose_linear(-1, lo))
+    if right == left == 0 and not (strict and (on_hi or on_lo)):
+        return HypothesisVerdict(HOLDS_EXACT)
+    flo, fhi = float(lo), float(hi)
+    return HypothesisVerdict(
+        FAILS_EXACT, _witness(p, lambda r: max(r.re - fhi, flo - r.re)))

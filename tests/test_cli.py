@@ -236,3 +236,18 @@ def test_classify_json_golden(command):
     code, out, err = run_cli(*command.split())
     assert [code, out] == GOLDEN["classify"][command]
     assert err == ""
+
+
+# Recorded before `find_roots` solved palindromic inputs at half degree and
+# `hypothesis_report` searched the nested strips: `classify` JSON and CSV
+# for d = 8..16 (the d = 10 flagship, bench-style vectors with entries in
+# 1..3000 and in 1..3, HS and CS violators, and the cube vector of d = 9)
+GOLDEN_HIGH = json.loads(
+    (Path(__file__).parent / "data" / "golden_classify_high_dim.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_HIGH))
+def test_classify_golden_high_dimension(command):
+    code, out, err = run_cli(*command.split())
+    assert [code, out] == GOLDEN_HIGH[command]
+    assert err == ""
